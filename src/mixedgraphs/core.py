@@ -9,6 +9,7 @@ edge, each with a color.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
@@ -354,19 +355,28 @@ def degeneracy_ordering(graph: MixedGraph) -> tuple[int, list[int]]:
 
     Repeatedly removes a minimum-degree vertex (ties to the smallest
     index) and reverses the removal sequence, so in the returned order
-    every vertex has at most d earlier neighbors.
+    every vertex has at most d earlier neighbors.  The minimum comes from
+    a binary heap of (degree, vertex) entries: a degree drop pushes a new
+    entry, which pops before the vertex's outdated ones, and those are
+    skipped once it is removed.  The pass costs O((n + m) log n) for n
+    vertices and m relations.
     """
     n = graph.order
     deg = [graph.degree(v) for v in range(n)]
+    heap = [(deg[v], v) for v in range(n)]
+    heapq.heapify(heap)
     alive = [True] * n
     removal: list[int] = []
     d = 0
-    for _ in range(n):
-        v = min((x for x in range(n) if alive[x]), key=lambda x: (deg[x], x))
-        d = max(d, deg[v])
+    while heap:
+        k, v = heapq.heappop(heap)
+        if not alive[v]:
+            continue
+        d = max(d, k)
         alive[v] = False
         removal.append(v)
         for w in graph.neighbors(v):
             if alive[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     return d, removal[::-1]

@@ -12,7 +12,7 @@ vertices are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Generator, Sequence
 
 from .core import MixedGraph, RelationKind, special_pairs
 
@@ -79,6 +79,25 @@ def check_homomorphism(
     return None
 
 
+def _run_nested(root: Generator) -> None:
+    """Run a recursive search written as generators, on an explicit stack.
+
+    A search function yields the generator of each recursive call it
+    would make, and resumes when that call has finished; results travel
+    through the enclosing function's variables.  This loop runs the
+    innermost generator first, exactly as the recursion would, so depth
+    is bounded by memory rather than by the interpreter's recursion
+    limit.
+    """
+    stack = [root]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(child)
+
+
 def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | None:
     """Exact search for a homomorphism; None proves there is none.
 
@@ -120,9 +139,13 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
                 return None
         return trail
 
-    def search(depth: int) -> bool:
+    found = False
+
+    def search(depth: int) -> Generator:
+        nonlocal found
         if depth == ns:
-            return True
+            found = True
+            return
         u = min(
             (v for v in range(ns) if image[v] < 0),
             key=lambda v: (len(domains[v]), v),
@@ -131,14 +154,15 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
             image[u] = x
             trail = assign(u, x)
             if trail is not None:
-                if search(depth + 1):
-                    return True
+                yield search(depth + 1)
+                if found:
+                    return
                 for w, old in trail:
                     domains[w] = old
             image[u] = -1
-        return False
 
-    if not search(0):
+    _run_nested(search(0))
+    if not found:
         return None
     hom = Homomorphism(ns, nt, tuple(image))
     audit = check_homomorphism(source, target, hom.mapping)
@@ -340,7 +364,7 @@ def chromatic_number(
         for key in added:
             del joined[key]
 
-    def search(idx: int) -> None:
+    def search(idx: int) -> Generator:
         nonlocal best_k, best_blocks, nodes, out_of_budget
         if out_of_budget:
             return
@@ -360,7 +384,7 @@ def chromatic_number(
             added = try_place(v, bi)
             if added is not None:
                 blocks[bi].append(v)
-                search(idx + 1)
+                yield search(idx + 1)
                 blocks[bi].pop()
                 unplace(v, added)
                 if out_of_budget or best_k == lower:
@@ -377,12 +401,12 @@ def chromatic_number(
             added = try_place(v, bi)
             if added is not None:
                 blocks[bi].append(v)
-                search(idx + 1)
+                yield search(idx + 1)
                 blocks[bi].pop()
                 unplace(v, added)
             blocks.pop()
 
-    search(0)
+    _run_nested(search(0))
 
     if best_blocks is not None:
         witness = Partition(best_blocks)

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
 from .core import (
     ColorSignature,
     MixedGraph,
-    NeighborhoodQuery,
     PropertySpec,
     RelationKind,
-    common_neighborhood,
     degeneracy_ordering,
 )
 from .solver import Homomorphism, check_homomorphism
@@ -27,7 +26,17 @@ from .solver import Homomorphism, check_homomorphism
 
 @dataclass(frozen=True)
 class CompleteMixedTarget:
-    """A complete colored mixed graph, with the seed that produced it."""
+    """A complete colored mixed graph, with the seed that produced it.
+
+    ``kind_masks`` is an index of the graph by relation kind, built on
+    first use and kept: ``kind_masks[v][i]`` has bit w set exactly when
+    ``graph.relation_from(v, w)`` is the i-th canonical kind.  A common
+    neighborhood is then an AND of rows.  The index lives here rather
+    than on ``MixedGraph`` because a complete graph is never mutated
+    once wrapped and its rows, p ints of order bits per vertex, take no
+    more memory than its adjacency dicts; the graph must not change
+    after the index is built.
+    """
 
     graph: MixedGraph
     seed: int | None = None
@@ -40,6 +49,17 @@ class CompleteMixedTarget:
     @property
     def order(self) -> int:
         return self.graph.order
+
+    @cached_property
+    def kind_masks(self) -> tuple[tuple[int, ...], ...]:
+        sig = self.graph.signature
+        rows = []
+        for v in range(self.graph.order):
+            row = [0] * sig.p
+            for w, rel in self.graph.neighbors(v).items():
+                row[sig.kind_index(rel)] |= 1 << w
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 def sample_complete(signature: ColorSignature, order: int, seed: int) -> CompleteMixedTarget:
@@ -116,10 +136,7 @@ def check_property_q(target: CompleteMixedTarget, spec: PropertySpec) -> QViolat
         return QViolation((), (), n, spec.required(0))
     sig = g.signature
     kinds = sig.kinds()
-    masks = [[0] * sig.p for _ in range(n)]
-    for v in range(n):
-        for w, rel in g.neighbors(v).items():
-            masks[v][sig.kind_index(rel)] |= 1 << w
+    masks = target.kind_masks
 
     def extend(
         vertices: tuple[int, ...], indices: tuple[int, ...], mask: int
@@ -229,8 +246,16 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
     are blocked, because that neighbor will later need its placed
     neighbors on pairwise distinct images.  The smallest admissible
     image is chosen.  Raises PropertyViolatedError when the candidate
-    set is exhausted; the invariant that placed neighbors of every
-    unplaced vertex hold distinct images is re-audited after every step.
+    set is exhausted.
+
+    Candidates are an AND of the target's ``kind_masks`` rows and the
+    blocked set is read off the placed neighbors of the current vertex's
+    unplaced neighbors, so a step costs O(deg^2) big-int operations of
+    target-order bits.  The invariant that the placed neighbors of every
+    unplaced vertex hold distinct images is re-audited after each step
+    for the unplaced neighbors of the vertex just placed, the only
+    vertices whose placed neighborhoods changed; the finished map is
+    audited again by ``check_homomorphism``.
     """
     tg = target.graph
     if graph.signature != tg.signature:
@@ -238,42 +263,55 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
             f"signature mismatch: {graph.signature} vs {tg.signature}"
         )
     degeneracy, order = degeneracy_ordering(graph)
-    image: dict[int, int] = {}
+    masks = target.kind_masks
+    kind_index = tg.signature.kind_index
+    everything = (1 << tg.order) - 1
+    image = [-1] * graph.order
     steps: list[GreedyStep] = []
     for v in order:
-        placed_neighbors = [w for w in sorted(graph.neighbors(v)) if w in image]
+        around = graph.neighbors(v)
+        placed_neighbors = [w for w in sorted(around) if image[w] >= 0]
         images = tuple(image[w] for w in placed_neighbors)
-        needed = tuple(graph.relation_from(w, v) for w in placed_neighbors)
-        candidates = common_neighborhood(tg, NeighborhoodQuery(images, needed))
-        future = {w for w in graph.neighbors(v) if w not in image}
-        blocked = {
-            image[x]
-            for x in image
-            if any(y in future for y in graph.neighbors(x))
-        }
-        admissible = candidates - blocked
+        needed = tuple(graph.neighbors(w)[v] for w in placed_neighbors)
+        candidates = everything
+        for x, rel in zip(images, needed):
+            candidates &= masks[x][kind_index(rel)]
+            if not candidates:
+                break
+        future = [w for w in around if image[w] < 0]
+        blocked = 0
+        for y in future:
+            for x in graph.neighbors(y):
+                if image[x] >= 0:
+                    blocked |= 1 << image[x]
+        admissible = candidates & ~blocked
         if not admissible:
             raise PropertyViolatedError(
-                v, images, needed, frozenset(candidates), frozenset(blocked)
+                v, images, needed, _bits(candidates), _bits(blocked)
             )
-        choice = min(admissible)
+        choice = (admissible & -admissible).bit_length() - 1
         image[v] = choice
         steps.append(
-            GreedyStep(v, images, needed, len(candidates), len(blocked), choice)
+            GreedyStep(
+                v, images, needed, candidates.bit_count(), blocked.bit_count(), choice
+            )
         )
-        for z in range(graph.order):
-            if z in image:
-                continue
-            placed = [image[w] for w in graph.neighbors(z) if w in image]
+        for z in sorted(future):
+            placed = [image[w] for w in graph.neighbors(z) if image[w] >= 0]
             if len(set(placed)) != len(placed):
                 raise AssertionError(
                     f"invariant broken after placing {v}: unplaced vertex {z} "
                     f"has placed neighbors sharing an image"
                 )
-    hom = Homomorphism(graph.order, tg.order, tuple(image[v] for v in range(graph.order)))
+    hom = Homomorphism(graph.order, tg.order, tuple(image))
     audit = check_homomorphism(graph, tg, hom.mapping)
     assert audit is None, f"greedy pass produced an invalid homomorphism: {audit}"
     return GreedyEmbedding(hom, tuple(order), degeneracy, tuple(steps))
+
+
+def _bits(mask: int) -> frozenset[int]:
+    """The positions of the set bits of ``mask``."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _is_connected(graph: MixedGraph) -> bool:

@@ -1,0 +1,83 @@
+"""Slow reference implementations that the fast library paths must match.
+
+These are the original quadratic algorithms, kept verbatim in behaviour:
+the differential tests require the library's results, step records and
+errors to equal theirs exactly.
+"""
+
+from mixedgraphs import (
+    CompleteMixedTarget,
+    GreedyEmbedding,
+    GreedyStep,
+    Homomorphism,
+    MixedGraph,
+    NeighborhoodQuery,
+    PropertyViolatedError,
+    check_homomorphism,
+    common_neighborhood,
+)
+
+
+def min_scan_degeneracy(graph: MixedGraph) -> tuple[int, list[int]]:
+    """Degeneracy order by scanning all live vertices for each removal."""
+    n = graph.order
+    deg = [graph.degree(v) for v in range(n)]
+    alive = [True] * n
+    removal: list[int] = []
+    d = 0
+    for _ in range(n):
+        v = min((x for x in range(n) if alive[x]), key=lambda x: (deg[x], x))
+        d = max(d, deg[v])
+        alive[v] = False
+        removal.append(v)
+        for w in graph.neighbors(v):
+            if alive[w]:
+                deg[w] -= 1
+    return d, removal[::-1]
+
+
+def quadratic_greedy(graph: MixedGraph, target: CompleteMixedTarget) -> GreedyEmbedding:
+    """Greedy embedding that rebuilds the blocked set from every placed
+    vertex and audits every unplaced vertex after each step."""
+    tg = target.graph
+    if graph.signature != tg.signature:
+        raise ValueError(
+            f"signature mismatch: {graph.signature} vs {tg.signature}"
+        )
+    degeneracy, order = min_scan_degeneracy(graph)
+    image: dict[int, int] = {}
+    steps: list[GreedyStep] = []
+    for v in order:
+        placed_neighbors = [w for w in sorted(graph.neighbors(v)) if w in image]
+        images = tuple(image[w] for w in placed_neighbors)
+        needed = tuple(graph.relation_from(w, v) for w in placed_neighbors)
+        candidates = common_neighborhood(tg, NeighborhoodQuery(images, needed))
+        future = {w for w in graph.neighbors(v) if w not in image}
+        blocked = {
+            image[x]
+            for x in image
+            if any(y in future for y in graph.neighbors(x))
+        }
+        admissible = candidates - blocked
+        if not admissible:
+            raise PropertyViolatedError(
+                v, images, needed, frozenset(candidates), frozenset(blocked)
+            )
+        choice = min(admissible)
+        image[v] = choice
+        steps.append(
+            GreedyStep(v, images, needed, len(candidates), len(blocked), choice)
+        )
+        for z in range(graph.order):
+            if z in image:
+                continue
+            placed = [image[w] for w in graph.neighbors(z) if w in image]
+            if len(set(placed)) != len(placed):
+                raise AssertionError(
+                    f"invariant broken after placing {v}: unplaced vertex {z} "
+                    f"has placed neighbors sharing an image"
+                )
+    hom = Homomorphism(graph.order, tg.order, tuple(image[v] for v in range(graph.order)))
+    audit = check_homomorphism(graph, tg, hom.mapping)
+    assert audit is None, f"greedy pass produced an invalid homomorphism: {audit}"
+    return GreedyEmbedding(hom, tuple(order), degeneracy, tuple(steps))

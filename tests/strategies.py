@@ -1,5 +1,7 @@
 """Shared builders and hypothesis strategies for the test suite."""
 
+from random import Random
+
 from hypothesis import strategies as st
 
 from mixedgraphs import ColorSignature, MixedGraph
@@ -39,6 +41,22 @@ def transitive_tournament(order: int) -> MixedGraph:
     return g
 
 
+def sparse_graph(
+    signature: ColorSignature, order: int, rng: Random, max_degree: int = 3, back: int = 2
+) -> MixedGraph:
+    """Vertex v joins up to ``back`` of the 30 vertices before it whose
+    degree is below ``max_degree``, with uniform kinds; the degeneracy is
+    at most ``back``."""
+    g = MixedGraph(signature, order)
+    kinds = signature.kinds()
+    for v in range(1, order):
+        pool = [u for u in range(max(0, v - 30), v) if g.degree(u) < max_degree]
+        for u in rng.sample(pool, min(rng.randint(1, back), len(pool))):
+            if g.degree(v) < max_degree:
+                g.add_relation(u, v, rng.choice(kinds))
+    return g
+
+
 def same_graph(a: MixedGraph, b: MixedGraph) -> bool:
     return (
         a.signature == b.signature
@@ -59,3 +77,13 @@ def mixed_graphs(draw, max_order: int = 7, signatures=SIGNATURES) -> MixedGraph:
             if rel is not None:
                 g.add_relation(u, v, rel)
     return g
+
+
+@st.composite
+def sparse_graphs(draw, max_order: int = 40, signatures=SIGNATURES) -> MixedGraph:
+    sig = draw(st.sampled_from(signatures))
+    order = draw(st.integers(1, max_order))
+    max_degree = draw(st.integers(1, 5))
+    back = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return sparse_graph(sig, order, Random(seed), max_degree, back)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mixedgraphs import fileio, paley_tournament
 from mixedgraphs.cli import run
 
 C5 = "mixedgraph 1\nsignature 1 0\nvertices 5\na 0 1 1\na 1 2 1\na 2 3 1\na 3 4 1\na 4 0 1\n"
@@ -185,6 +186,23 @@ def test_exit_code_violated(tmp_path, c5):
     c3 = tmp_path / "c3.mg"
     c3.write_text("mixedgraph 1\nsignature 1 0\nvertices 3\na 0 1 1\na 1 2 1\na 2 0 1\n")
     assert run(["hom", c5, str(c3)]) == 1
+
+
+def test_deep_searches_keep_the_exit_code_contract(tmp_path, capsys):
+    # a 1500-vertex path is deeper than Python's default recursion limit
+    path = tmp_path / "p1500.mg"
+    path.write_text(
+        "mixedgraph 1\nsignature 1 0\nvertices 1500\n"
+        + "".join(f"a {i} {i + 1} 1\n" for i in range(1499))
+    )
+    qr7 = tmp_path / "qr7.mg"
+    qr7.write_text(fileio.dumps(paley_tournament(7).graph))
+    assert run(["chi", str(path), "--format", "records"]) == 0
+    record = _records(capsys)[0]
+    assert record["exact"] and record["k"] == 3
+    assert run(["hom", str(path), str(qr7), "--format", "records"]) == 0
+    record = _records(capsys)[0]
+    assert record["found"] and len(record["mapping"]) == 1500
 
 
 def test_exit_code_usage(tmp_path, capsys):

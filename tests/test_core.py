@@ -21,7 +21,8 @@ from mixedgraphs import (
     require_rich_signature,
     special_pairs,
 )
-from strategies import SIGNATURES, mixed_graphs
+from reference import min_scan_degeneracy
+from strategies import SIGNATURES, mixed_graphs, sparse_graphs
 
 
 # --- relation kinds and signatures -----------------------------------------
@@ -160,6 +161,19 @@ def test_degeneracy_ordering_bounds_back_degree(g):
     assert worst <= d
     if g.order:
         assert d <= max(g.degree(v) for v in range(g.order))
+
+
+@given(st.one_of(mixed_graphs(max_order=9), sparse_graphs(max_order=60)))
+def test_heap_degeneracy_matches_min_scan(g):
+    assert degeneracy_ordering(g) == min_scan_degeneracy(g)
+
+
+def test_degeneracy_ties_go_to_the_smallest_index():
+    g = MixedGraph(ColorSignature(1, 0), 6)
+    for i in range(5):
+        g.add_arc(i, i + 1, 1)
+    assert degeneracy_ordering(g) == (1, [5, 4, 3, 2, 1, 0])
+    assert degeneracy_ordering(MixedGraph(ColorSignature(1, 0), 0)) == (0, [])
 
 
 # --- common neighborhoods ----------------------------------------------------

@@ -12,6 +12,7 @@ from mixedgraphs import (
     check_partition,
     chromatic_number,
     find_homomorphism,
+    paley_tournament,
     quotient,
     special_clique,
 )
@@ -187,3 +188,50 @@ def test_every_graph_maps_into_its_own_quotient(g):
     result = chromatic_number(g)
     image, _ = quotient(g, result.witness)
     assert find_homomorphism(g, image) is not None
+
+
+# --- search order is pinned: node counts and witnesses of fixed graphs -----------
+
+
+def _seeded_graph(sig: ColorSignature, n: int, m: int, seed: int) -> MixedGraph:
+    rng = random.Random(seed)
+    g = MixedGraph(sig, n)
+    kinds = sig.kinds()
+    made = 0
+    while made < m:
+        u, v = rng.sample(range(n), 2)
+        if g.relation_from(u, v) is None:
+            g.add_relation(u, v, rng.choice(kinds))
+            made += 1
+    return g
+
+
+def test_chromatic_search_nodes_and_witness_are_pinned():
+    a = _seeded_graph(ColorSignature(1, 1), 14, 20, 7)
+    result = chromatic_number(a)
+    assert (result.k, result.nodes) == (6, 65)
+    assert result.witness.blocks == (
+        (9, 8, 4, 7, 12), (1,), (3, 2), (6, 10), (0, 11), (5, 13)
+    )
+    cut = chromatic_number(a, budget=50)
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (5, 6, 51, True)
+    assert cut.witness == result.witness
+
+    b = _seeded_graph(ColorSignature(1, 0), 16, 24, 11)
+    result = chromatic_number(b)
+    assert (result.k, result.nodes) == (6, 433)
+    assert result.witness.blocks == (
+        (9, 12, 11, 4, 15), (0, 5, 2), (1, 8), (6, 14), (10, 7), (13, 3)
+    )
+    cut = chromatic_number(b, budget=50)
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (4, 16, 51, True)
+
+
+def test_homomorphism_search_witnesses_are_pinned():
+    source = _seeded_graph(ColorSignature(1, 0), 20, 22, 3)
+    hom = find_homomorphism(source, paley_tournament(11).graph)
+    assert hom.mapping == (0, 1, 1, 0, 0, 0, 0, 1, 2, 2, 1, 1, 7, 1, 0, 2, 2, 3, 6, 1)
+    hom = find_homomorphism(source, paley_tournament(7).graph)
+    assert hom.mapping == (0, 1, 1, 0, 0, 0, 0, 1, 3, 3, 1, 1, 6, 1, 0, 3, 3, 4, 5, 1)
+    hom = find_homomorphism(directed_cycle(9), paley_tournament(7).graph)
+    assert hom.mapping == (0, 1, 2, 3, 0, 1, 2, 3, 5)

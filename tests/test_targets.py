@@ -2,6 +2,7 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedgraphs import (
     ColorSignature,
@@ -20,11 +21,14 @@ from mixedgraphs import (
     sample_complete,
     search_q_target,
 )
+from reference import quadratic_greedy
 from strategies import (
     complete_graph,
     directed_cycle,
     directed_path,
     same_graph,
+    sparse_graph,
+    sparse_graphs,
     transitive_tournament,
 )
 
@@ -42,6 +46,18 @@ def test_sample_complete_is_deterministic_and_complete():
     assert not same_graph(a.graph, c.graph)
     assert a.seed == 42
     assert a.graph.e_count == 15
+
+
+def test_kind_masks_index_every_relation():
+    target = sample_complete(ColorSignature(1, 1), 9, 5)
+    g = target.graph
+    kinds = g.signature.kinds()
+    assert target.kind_masks is target.kind_masks
+    for v in range(g.order):
+        for i, kind in enumerate(kinds):
+            expected = {w for w in range(g.order) if w != v and g.relation_from(v, w) == kind}
+            row = target.kind_masks[v][i]
+            assert {w for w in range(g.order) if row >> w & 1} == expected
 
 
 def test_complete_target_rejects_missing_pairs():
@@ -164,6 +180,61 @@ def test_greedy_rejects_signature_mismatch():
     target = CompleteMixedTarget(complete_graph(3))
     with pytest.raises(ValueError):
         greedy_homomorphism(directed_path(3), target)
+
+
+def _greedy_outcome(embed, source, target):
+    try:
+        return embed(source, target)
+    except PropertyViolatedError as exc:
+        return exc
+
+
+def _assert_greedy_matches_reference(source, target) -> str:
+    """Fast and quadratic greedy agree on every step or on the error."""
+    fast = _greedy_outcome(greedy_homomorphism, source, target)
+    slow = _greedy_outcome(quadratic_greedy, source, target)
+    assert type(fast) is type(slow)
+    if isinstance(slow, PropertyViolatedError):
+        for field in ("vertex", "images", "kinds", "candidates", "blocked"):
+            assert getattr(fast, field) == getattr(slow, field), field
+        assert str(fast) == str(slow)
+        return "violated"
+    assert fast.homomorphism == slow.homomorphism
+    assert fast.order == slow.order
+    assert fast.degeneracy == slow.degeneracy
+    assert fast.steps == slow.steps
+    return "embedded"
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_graphs(max_order=40), st.integers(6, 40), st.integers(0, 2**32 - 1))
+def test_greedy_matches_quadratic_reference(source, target_order, seed):
+    target = sample_complete(source.signature, target_order, seed)
+    _assert_greedy_matches_reference(source, target)
+
+
+def test_greedy_matches_reference_on_both_outcomes():
+    rng = random.Random(1508)
+    sigs = (SIG, ColorSignature(0, 2), ColorSignature(1, 1))
+    outcomes = []
+    for trial in range(60):
+        sig = sigs[trial % len(sigs)]
+        source = sparse_graph(sig, rng.randint(5, 40), rng, rng.randint(2, 4), rng.randint(1, 3))
+        target = sample_complete(sig, rng.randint(6, 40), rng.randrange(10**6))
+        outcomes.append(_assert_greedy_matches_reference(source, target))
+    assert outcomes.count("violated") >= 10
+    assert outcomes.count("embedded") >= 10
+
+
+def test_greedy_embeds_a_large_sparse_source():
+    spec = PropertySpec(2, (7, 5, 3))
+    target = search_q_target(SIG, 120, spec, 20, 0)
+    assert target is not None
+    source = sparse_graph(SIG, 20_000, random.Random(7), max_degree=3, back=2)
+    embedding = greedy_homomorphism(source, target)
+    mapping = embedding.homomorphism.mapping
+    assert check_homomorphism(source, target.graph, mapping) is None
+    assert len(embedding.steps) == 20_000
 
 
 # --- regular extension --------------------------------------------------------------
