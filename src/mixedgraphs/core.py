@@ -10,33 +10,75 @@ edge, each with a color.
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping
 
 ARC_OUT = "out"
 ARC_IN = "in"
 EDGE = "edge"
 
-_KIND_RANK = {ARC_OUT: 0, ARC_IN: 1, EDGE: 2}
+_DUAL_KIND = {ARC_OUT: ARC_IN, ARC_IN: ARC_OUT, EDGE: EDGE}
+_PREFIX = {ARC_OUT: "+a", ARC_IN: "-a", EDGE: "e"}
+
+_interned: dict[tuple[str, int], "RelationKind"] = {}
+_intern_lock = threading.Lock()
 
 
-@dataclass(frozen=True)
 class RelationKind:
     """One adjacency kind as seen from a vertex.
 
     ``kind`` is ``"out"`` (arc leaving the viewpoint vertex), ``"in"``
     (arc entering it) or ``"edge"``; ``color`` is 1-based.
+
+    Kinds are interned: the constructor returns the one shared instance
+    for each (kind, color), so equality and hashing are by identity, and
+    copies and unpickled kinds are that same instance.  Attributes are
+    read-only.  Each instance holds its dual, the same relation seen
+    from the other endpoint, so ``dual()`` allocates nothing.
     """
+
+    __slots__ = ("kind", "color", "_dual")
 
     kind: str
     color: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown relation kind {self.kind!r}")
-        if self.color < 1:
-            raise ValueError(f"color must be >= 1, got {self.color}")
+    def __new__(cls, kind: str, color: int) -> "RelationKind":
+        found = _interned.get((kind, color))
+        if found is not None:
+            return found
+        if kind not in _DUAL_KIND:
+            raise ValueError(f"unknown relation kind {kind!r}")
+        if color < 1:
+            raise ValueError(f"color must be >= 1, got {color}")
+        with _intern_lock:
+            found = _interned.get((kind, color))
+            if found is None:
+                found = cls._make(kind, color)
+                other = _DUAL_KIND[kind]
+                dual = found if other == kind else cls._make(other, color)
+                object.__setattr__(found, "_dual", dual)
+                object.__setattr__(dual, "_dual", found)
+                _interned[(other, color)] = dual
+                _interned[(kind, color)] = found
+            return found
+
+    @classmethod
+    def _make(cls, kind: str, color: int) -> "RelationKind":
+        self = object.__new__(cls)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "color", color)
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[str, int]]:
+        return (RelationKind, (self.kind, self.color))
 
     @property
     def is_arc(self) -> bool:
@@ -44,18 +86,13 @@ class RelationKind:
 
     def dual(self) -> "RelationKind":
         """The same relation seen from the other endpoint."""
-        if self.kind == ARC_OUT:
-            return RelationKind(ARC_IN, self.color)
-        if self.kind == ARC_IN:
-            return RelationKind(ARC_OUT, self.color)
-        return self
+        return self._dual
 
-    def sort_key(self) -> tuple[int, int]:
-        return (_KIND_RANK[self.kind], self.color)
+    def __repr__(self) -> str:
+        return f"RelationKind(kind={self.kind!r}, color={self.color!r})"
 
     def __str__(self) -> str:
-        prefix = {ARC_OUT: "+a", ARC_IN: "-a", EDGE: "e"}[self.kind]
-        return f"{prefix}{self.color}"
+        return f"{_PREFIX[self.kind]}{self.color}"
 
 
 def arc_out(color: int = 1) -> RelationKind:
@@ -104,18 +141,23 @@ class ColorSignature:
         """
         return _canonical_kinds(self.m, self.n)
 
+    @cached_property
+    def _positions(self) -> dict[RelationKind, int]:
+        """Each kind of the signature mapped to its canonical position."""
+        return {kind: i for i, kind in enumerate(self.kinds())}
+
     def kind_index(self, rel: RelationKind) -> int:
-        if not self.contains(rel):
-            raise ValueError(f"{rel} is not a kind of signature {self}")
-        rank, color = rel.sort_key()
-        return (0, self.m, 2 * self.m)[rank] + color - 1
+        """The canonical position of ``rel``; ValueError for a foreign kind."""
+        try:
+            return self._positions[rel]
+        except KeyError:
+            raise ValueError(f"{rel} is not a kind of signature {self}") from None
 
     def kind_at(self, index: int) -> RelationKind:
         return self.kinds()[index]
 
     def contains(self, rel: RelationKind) -> bool:
-        limit = self.m if rel.is_arc else self.n
-        return 1 <= rel.color <= limit
+        return rel in self._positions
 
     def __str__(self) -> str:
         return f"({self.m},{self.n})"
@@ -153,14 +195,18 @@ class MixedGraph:
         if not 0 <= v < self.order:
             raise ValueError(f"vertex {v} out of range 0..{self.order - 1}")
 
-    def add_relation(self, u: int, v: int, rel: RelationKind) -> None:
-        """Install ``rel`` on the pair {u, v}, viewed from u."""
+    def _check_free_pair(self, u: int, v: int) -> None:
+        """Raise ValueError unless u and v are distinct unrelated vertices."""
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
             raise ValueError(f"loop at vertex {u}")
         if v in self._adj[u]:
             raise ValueError(f"pair ({u}, {v}) already has a relation")
+
+    def add_relation(self, u: int, v: int, rel: RelationKind) -> None:
+        """Install ``rel`` on the pair {u, v}, viewed from u."""
+        self._check_free_pair(u, v)
         if not self.signature.contains(rel):
             raise ValueError(f"{rel} out of range for signature {self.signature}")
         self._adj[u][v] = rel

@@ -12,11 +12,11 @@ acyclic palette.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Generator, Mapping, Sequence
 
 from .bounds import ceil_log
 from .core import ColorSignature, MixedGraph, degeneracy_ordering, require_rich_signature
-from .solver import BudgetExceededError, chromatic_number
+from .solver import BudgetExceededError, _run_nested, chromatic_number
 
 
 class ExactUnavailableError(RuntimeError):
@@ -252,19 +252,22 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Acyc
     Tries palette sizes in increasing order; for each, backtracks over
     vertex colors (descending degree order) and rejects any assignment
     that makes a neighbor monochromatic or closes a bichromatic cycle.
-    Every color assignment attempt costs one node from the budget.
+    Every color assignment attempt costs one node from the budget.  The
+    backtracking runs on an explicit stack, so its depth is not bounded
+    by the interpreter's recursion limit.
     """
     n = graph.order
     if n == 0:
         return AcyclicResult(0, 0, {}, 0, False)
     lower = 2 if graph.e_count > 0 else 1
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+    adj = [graph.neighbors(v) for v in range(n)]
     colors: dict[int, int] = {}
     nodes = 0
 
     def closes_bichromatic_cycle(v: int, c: int) -> bool:
         neighbor_colors: dict[int, list[int]] = {}
-        for w in graph.neighbors(v):
+        for w in adj[v]:
             if w in colors:
                 neighbor_colors.setdefault(colors[w], []).append(w)
         for d, anchors in neighbor_colors.items():
@@ -283,7 +286,7 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Acyc
                 comp[start] = label
                 while stack:
                     x = stack.pop()
-                    for y in graph.neighbors(x):
+                    for y in adj[x]:
                         if y in pool and y not in comp:
                             comp[y] = label
                             stack.append(y)
@@ -295,12 +298,15 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Acyc
                 seen.add(comp[w])
         return False
 
-    def search(idx: int, k: int, used: int) -> bool:
-        nonlocal nodes
+    found = False
+
+    def search(idx: int, k: int, used: int) -> Generator:
+        nonlocal nodes, found
         if idx == n:
-            return True
+            found = True
+            return
         v = order[idx]
-        forbidden = {colors[w] for w in graph.neighbors(v) if w in colors}
+        forbidden = {colors[w] for w in adj[v] if w in colors}
         for c in range(min(used + 1, k)):
             nodes += 1
             if nodes > budget:
@@ -308,15 +314,15 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Acyc
             if c in forbidden or closes_bichromatic_cycle(v, c):
                 continue
             colors[v] = c
-            if search(idx + 1, k, max(used, c + 1)):
-                return True
+            yield search(idx + 1, k, max(used, c + 1))
+            if found:
+                return
             del colors[v]
-        return False
 
     for k in range(lower, n + 1):
         colors.clear()
         try:
-            found = search(0, k, 0)
+            _run_nested(search(0, k, 0))
         except BudgetExceededError:
             return AcyclicResult(k, n, None, nodes, True)
         if found:

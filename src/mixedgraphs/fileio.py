@@ -54,6 +54,35 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise FormatError(line_no, f"{what} must be an integer, got {token!r}") from None
 
 
+def _color_kind(
+    by_token: dict[str, RelationKind],
+    word: str,
+    token: str,
+    line_no: int,
+    graph: MixedGraph,
+    u: int,
+    v: int,
+) -> RelationKind:
+    """The kind of an ``a``/``e`` line whose color token is not canonical.
+
+    Accepts other spellings of a color of the signature (``01``).  For
+    any other color, raises the FormatError that building the kind and
+    adding it to the graph would raise, checks in the same order, but
+    without making the kind.
+    """
+    c = _int(token, line_no, "color")
+    if str(c) in by_token:
+        return by_token[str(c)]
+    try:
+        if c < 1:
+            raise ValueError(f"color must be >= 1, got {c}")
+        graph._check_free_pair(u, v)
+    except ValueError as exc:
+        raise FormatError(line_no, str(exc)) from None
+    prefix = "+a" if word == "a" else "e"
+    raise FormatError(line_no, f"{prefix}{c} out of range for signature {graph.signature}")
+
+
 def loads(text: str) -> GraphDocument:
     """Parse graph text, auditing every structural invariant."""
     doc: GraphDocument | None = None
@@ -100,6 +129,10 @@ def loads(text: str) -> GraphDocument:
                 raise FormatError(line_no, "vertex count must be non-negative")
             graph = MixedGraph(signature, order)
             doc = GraphDocument(graph)
+            by_token = {
+                "a": {str(c): RelationKind(ARC_OUT, c) for c in range(1, signature.m + 1)},
+                "e": {str(c): RelationKind(EDGE, c) for c in range(1, signature.n + 1)},
+            }
             continue
 
         assert doc is not None
@@ -108,11 +141,11 @@ def loads(text: str) -> GraphDocument:
                 raise FormatError(line_no, f"expected '{word} u v color'")
             u = _int(tokens[1], line_no, "vertex")
             v = _int(tokens[2], line_no, "vertex")
-            c = _int(tokens[3], line_no, "color")
+            rel = by_token[word].get(tokens[3])
+            if rel is None:
+                rel = _color_kind(by_token[word], word, tokens[3], line_no, graph, u, v)
             try:
-                if c < 1:
-                    raise ValueError(f"color must be >= 1, got {c}")
-                graph.add_relation(u, v, RelationKind(ARC_OUT if word == "a" else EDGE, c))
+                graph.add_relation(u, v, rel)
             except ValueError as exc:
                 raise FormatError(line_no, str(exc)) from None
         elif word == "color":

@@ -255,7 +255,9 @@ def special_clique(graph: MixedGraph) -> set[int]:
     images under any homomorphism.  One greedy pass is seeded from every
     vertex (extending by descending special-pair degree, ties by index)
     and the largest clique found wins; a single degree-ordered pass can
-    seed itself on vertices outside the big cliques.
+    seed itself on vertices outside the big cliques.  A pass can only
+    pick special-pair neighbors of its seed, so it walks those alone,
+    in degree order: O(sum of deg log deg) over all seeds.
     """
     pairs = special_pairs(graph)
     adj: dict[int, set[int]] = {v: set() for v in range(graph.order)}
@@ -263,11 +265,14 @@ def special_clique(graph: MixedGraph) -> set[int]:
         adj[u].add(w)
         adj[w].add(u)
     by_degree = sorted(range(graph.order), key=lambda v: (-len(adj[v]), v))
+    rank = [0] * graph.order
+    for i, v in enumerate(by_degree):
+        rank[v] = i
     best: list[int] = []
     for seed in range(graph.order):
         chosen = [seed]
         allowed = set(adj[seed])
-        for v in by_degree:
+        for v in sorted(adj[seed], key=rank.__getitem__):
             if v in allowed:
                 chosen.append(v)
                 allowed &= adj[v]

@@ -134,28 +134,29 @@ def check_property_q(target: CompleteMixedTarget, spec: PropertySpec) -> QViolat
         raise ValueError(f"tuple length {spec.t} needs order > {spec.t}, got {n}")
     if n < spec.required(0):
         return QViolation((), (), n, spec.required(0))
-    sig = g.signature
-    kinds = sig.kinds()
+    kinds = g.signature.kinds()
     masks = target.kind_masks
 
     def extend(
         vertices: tuple[int, ...], indices: tuple[int, ...], mask: int
     ) -> QViolation | None:
         j = len(vertices) + 1
+        need = spec.required(j)
+        deeper = j < spec.t
         for v in range(n):
             if v in vertices:
                 continue
-            for ki in range(sig.p):
-                narrowed = mask & masks[v][ki]
+            for ki, row in enumerate(masks[v]):
+                narrowed = mask & row
                 count = narrowed.bit_count()
-                if count < spec.required(j):
+                if count < need:
                     return QViolation(
                         vertices + (v,),
                         tuple(kinds[i] for i in indices + (ki,)),
                         count,
-                        spec.required(j),
+                        need,
                     )
-                if j < spec.t:
+                if deeper:
                     found = extend(vertices + (v,), indices + (ki,), narrowed)
                     if found is not None:
                         return found

@@ -15,6 +15,7 @@ from mixedgraphs import (
     PropertyViolatedError,
     check_homomorphism,
     common_neighborhood,
+    special_pairs,
 )
 
 
@@ -81,3 +82,25 @@ def quadratic_greedy(graph: MixedGraph, target: CompleteMixedTarget) -> GreedyEm
     audit = check_homomorphism(graph, tg, hom.mapping)
     assert audit is None, f"greedy pass produced an invalid homomorphism: {audit}"
     return GreedyEmbedding(hom, tuple(order), degeneracy, tuple(steps))
+
+
+def quadratic_special_clique(graph: MixedGraph) -> set[int]:
+    """Greedy special-pair clique whose pass from each seed walks the
+    whole degree order."""
+    pairs = special_pairs(graph)
+    adj: dict[int, set[int]] = {v: set() for v in range(graph.order)}
+    for u, w in pairs:
+        adj[u].add(w)
+        adj[w].add(u)
+    by_degree = sorted(range(graph.order), key=lambda v: (-len(adj[v]), v))
+    best: list[int] = []
+    for seed in range(graph.order):
+        chosen = [seed]
+        allowed = set(adj[seed])
+        for v in by_degree:
+            if v in allowed:
+                chosen.append(v)
+                allowed &= adj[v]
+        if len(chosen) > len(best):
+            best = chosen
+    return set(best)

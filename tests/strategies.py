@@ -57,6 +57,20 @@ def sparse_graph(
     return g
 
 
+def seeded_graph(sig: ColorSignature, n: int, m: int, seed: int) -> MixedGraph:
+    """m relations of uniform kinds on uniform random pairs of n vertices."""
+    rng = Random(seed)
+    g = MixedGraph(sig, n)
+    kinds = sig.kinds()
+    made = 0
+    while made < m:
+        u, v = rng.sample(range(n), 2)
+        if g.relation_from(u, v) is None:
+            g.add_relation(u, v, rng.choice(kinds))
+            made += 1
+    return g
+
+
 def same_graph(a: MixedGraph, b: MixedGraph) -> bool:
     return (
         a.signature == b.signature

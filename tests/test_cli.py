@@ -203,6 +203,9 @@ def test_deep_searches_keep_the_exit_code_contract(tmp_path, capsys):
     assert run(["hom", str(path), str(qr7), "--format", "records"]) == 0
     record = _records(capsys)[0]
     assert record["found"] and len(record["mapping"]) == 1500
+    assert run(["acyclic", str(path), "--format", "records"]) == 0
+    record = _records(capsys)[0]
+    assert record["exact"] and record["k"] == 2
 
 
 def test_exit_code_usage(tmp_path, capsys):

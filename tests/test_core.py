@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,6 +51,36 @@ def test_dual_is_an_involution():
     assert edge(2).dual() == edge(2)
 
 
+def test_kinds_are_interned():
+    assert RelationKind(ARC_OUT, 2) is arc_out(2)
+    assert RelationKind(EDGE, 3) is edge(3)
+    assert arc_out(2).dual() is arc_in(2)
+    assert arc_in(2).dual() is arc_out(2)
+    assert edge(4).dual() is edge(4)
+    assert hash(arc_out(2)) == hash(RelationKind(ARC_OUT, 2))
+    assert arc_out(2) != arc_in(2) and arc_out(1) != arc_out(2)
+    assert repr(arc_in(7)) == "RelationKind(kind='in', color=7)"
+
+
+def test_kinds_are_read_only():
+    kind = arc_out(1)
+    for name in ("kind", "color", "_dual", "other"):
+        with pytest.raises(AttributeError):
+            setattr(kind, name, edge(1))
+    with pytest.raises(AttributeError):
+        del kind.color
+    assert (kind.kind, kind.color) == (ARC_OUT, 1)
+
+
+def test_copies_and_pickles_are_the_interned_kind():
+    for kind in (arc_out(3), arc_in(1), edge(2)):
+        assert copy.copy(kind) is kind
+        assert copy.deepcopy(kind) is kind
+        assert pickle.loads(pickle.dumps(kind)) is kind
+    pair = copy.deepcopy((arc_out(5), [arc_in(5)]))
+    assert pair[0] is arc_out(5) and pair[1][0] is arc_in(5)
+
+
 def test_signature_kind_order():
     sig = ColorSignature(2, 1)
     assert sig.p == 5
@@ -63,8 +95,11 @@ def test_signature_rejects_foreign_kinds():
     sig = ColorSignature(1, 0)
     assert not sig.contains(edge(1))
     assert not sig.contains(arc_out(2))
-    with pytest.raises(ValueError):
-        sig.kind_index(edge(1))
+    assert not sig.contains(arc_in(2))
+    assert sig.contains(arc_in(1))
+    for kind in (edge(1), arc_out(2), arc_in(2)):
+        with pytest.raises(ValueError, match="is not a kind of signature"):
+            sig.kind_index(kind)
     with pytest.raises(ValueError):
         ColorSignature(-1, 2)
     with pytest.raises(ValueError):

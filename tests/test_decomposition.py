@@ -21,7 +21,7 @@ from mixedgraphs import (
     greedy_forests,
     nash_williams_density,
 )
-from strategies import complete_graph, directed_cycle, directed_path, mixed_graphs
+from strategies import complete_graph, directed_cycle, directed_path, mixed_graphs, seeded_graph
 
 
 def _oracle_arboricity(g: MixedGraph) -> int:
@@ -147,6 +147,32 @@ def test_acyclic_budget_exhaustion():
     result = acyclic_chromatic_number(complete_graph(6), budget=5)
     assert result.exhausted and not result.exact
     assert result.lower <= 6 <= result.upper
+
+
+def test_acyclic_search_nodes_and_witness_are_pinned():
+    a = seeded_graph(ColorSignature(1, 0), 14, 35, 7)
+    result = acyclic_chromatic_number(a)
+    assert (result.k, result.nodes) == (5, 700)
+    assert result.witness == {
+        0: 1, 1: 1, 2: 1, 3: 5, 4: 1, 5: 2, 6: 4,
+        7: 2, 8: 2, 9: 3, 10: 4, 11: 5, 12: 4, 13: 4,
+    }
+    cut = acyclic_chromatic_number(a, budget=350)
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted, cut.witness) == (
+        5, 14, 351, True, None
+    )
+
+    b = seeded_graph(ColorSignature(1, 0), 20, 50, 9)
+    result = acyclic_chromatic_number(b)
+    assert (result.k, result.nodes) == (5, 5959)
+    assert result.witness == {
+        0: 2, 1: 1, 2: 1, 3: 2, 4: 4, 5: 2, 6: 3, 7: 4, 8: 3, 9: 4,
+        10: 1, 11: 3, 12: 4, 13: 3, 14: 1, 15: 1, 16: 4, 17: 2, 18: 5, 19: 5,
+    }
+    cut = acyclic_chromatic_number(b, budget=2979)
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted, cut.witness) == (
+        4, 20, 2980, True, None
+    )
 
 
 def test_acyclic_at_most_chromatic_on_small_graphs():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 
+from mixedgraphs import core
 from mixedgraphs import (
     ColorSignature,
     FormatError,
@@ -73,6 +74,7 @@ def test_arc_lines_survive_direction():
         (HEADER + "a 0 9 1\n", 4, "out of range"),
         (HEADER + "a 0 1 2\n", 4, "out of range"),
         (HEADER + "e 0 1 0\n", 4, "color"),
+        (HEADER + "e 0 0 7\n", 4, "loop at vertex 0"),
         (HEADER + "a 0 1 1\na 1 0 1\n", 5, "already has a relation"),
         (HEADER + "color 9 1\n", 4, "out of range"),
         (HEADER + "color 1 1\ncolor 1 2\n", 5, "twice"),
@@ -89,6 +91,18 @@ def test_format_errors_carry_line_numbers(text, line_no, needle):
         loads(text)
     assert f"line {line_no}:" in str(exc_info.value)
     assert needle in str(exc_info.value)
+
+
+def test_color_tokens_are_read_as_integers():
+    canonical = loads(HEADER + "a 0 1 1\ne 1 2 1\n").graph
+    for text in ("a 0 1 01\ne 1 2 1\n", "a 0 1 1\ne 1 2 +1\n", "a 0 1 001\ne 1 2 01\n"):
+        assert same_graph(loads(HEADER + text).graph, canonical)
+
+
+def test_rejected_color_makes_no_kind():
+    with pytest.raises(FormatError, match=r"line 4: \+a987654 out of range for signature \(1,1\)"):
+        loads(HEADER + "a 0 1 987654\n")
+    assert ("out", 987654) not in core._interned
 
 
 def test_duplicate_relation_message_names_the_pair():

@@ -1,0 +1,107 @@
+"""Golden output: every listed CLI command, in text and records, byte for byte.
+
+The inputs are the small graph files in ``tests/golden/``; the expected
+exit code, stdout and stderr of each command are in
+``tests/golden/expected.json``.  A change meant to keep the output must
+pass this test unchanged.  Only when an output change is intended,
+regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``
+and review its diff.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from mixedgraphs.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXPECTED = GOLDEN / "expected.json"
+
+# argv per command; a word ending in ".mg" names a file in tests/golden/
+COMMANDS = {
+    "chi-c5": "chi c5.mg",
+    "chi-c5-records": "chi c5.mg --format records",
+    "chi-mixed": "chi mixed.mg -o -",
+    "chi-mixed-records": "chi mixed.mg --format records",
+    "chi-dense-budget": "chi dense.mg --budget 40",
+    "chi-dense-budget-records": "chi dense.mg --budget 40 --format records",
+    "chi-lower-only": "chi mixed.mg --lower-only",
+    "chi-lower-only-records": "chi mixed.mg --lower-only --format records",
+    "chi-check": "chi c5.mg --check c5-colored.mg",
+    "chi-check-records": "chi c5.mg --check c5-colored.mg --format records",
+    "acyclic-c5": "acyclic c5.mg",
+    "acyclic-mixed": "acyclic mixed.mg -o -",
+    "acyclic-mixed-records": "acyclic mixed.mg --format records",
+    "acyclic-dense-budget": "acyclic dense.mg --budget 30",
+    "acyclic-dense-budget-records": "acyclic dense.mg --budget 30 --format records",
+    "acyclic-check": "acyclic c5.mg --check c5-colored.mg",
+    "acyclic-pipeline-mixed": "acyclic-pipeline mixed.mg -o -",
+    "acyclic-pipeline-mixed-records": "acyclic-pipeline mixed.mg --format records",
+    "acyclic-pipeline-dense": "acyclic-pipeline dense.mg",
+    "arb-c5": "arb c5.mg -o -",
+    "arb-mixed": "arb mixed.mg",
+    "arb-mixed-records": "arb mixed.mg --format records",
+    "arb-dense-limit": "arb dense.mg --subset-limit 8",
+    "arb-dense-limit-records": "arb dense.mg --subset-limit 8 --format records",
+    "hom-p6-qr7": "hom p6.mg qr7.mg",
+    "hom-p6-qr7-records": "hom p6.mg qr7.mg --format records",
+    "hom-dense-qr7": "hom dense.mg qr7.mg",
+    "hom-dense-qr7-records": "hom dense.mg qr7.mg --format records",
+    "hom-c5-p6": "hom c5.mg p6.mg --format records",
+    "hom-mismatch": "hom mixed.mg qr7.mg",
+    "greedy-hom-p6": "greedy-hom p6.mg target.mg",
+    "greedy-hom-p6-records": "greedy-hom p6.mg target.mg --format records",
+    "greedy-hom-dense": "greedy-hom dense.mg target.mg",
+    "greedy-hom-dense-records": "greedy-hom dense.mg target.mg --format records",
+    "extend-regular-c5": "extend-regular c5.mg target.mg -o -",
+    "extend-regular-c5-records": "extend-regular c5.mg target.mg --format records",
+    "check-q-holds": "check-q target.mg --tuples 2 --min 1,3,1",
+    "check-q-holds-records": "check-q target.mg --tuples 2 --min 1,3,1 --format records",
+    "check-q-violated": "check-q target.mg --tuples 2 --min 1,3,2",
+    "check-q-violated-records": "check-q target.mg --tuples 2 --min 1,3,2 --format records",
+    "check-q-qr7": "check-q qr7.mg --tuples 2 --min 1,3,1 --format records",
+    "search-q": "search-q --sig 1 1 --order 20 --tuples 1 --min 1,2 --attempts 5 --seed 4 -o -",
+    "search-q-records": "search-q --sig 1 1 --order 20 --tuples 1 --min 1,2 --attempts 5 --seed 4 --format records",
+    "search-q-none": "search-q --sig 1 0 --order 8 --tuples 2 --min 1,3,2 --attempts 3 --seed 1",
+    "search-q-none-records": "search-q --sig 1 0 --order 8 --tuples 2 --min 1,3,2 --attempts 3 --seed 1 --format records",
+    "gen-hk": "gen hk 3 --sig 1 0",
+    "gen-hk-small": "gen hk 2 --sig 1 0",
+    "gen-gadget": "gen gadget 3 --sig 1 1",
+}
+
+
+def _argv(command: str) -> list[str]:
+    return [str(GOLDEN / w) if w.endswith(".mg") else w for w in command.split()]
+
+
+def _capture(command: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(_argv(command))
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_golden_commands_cover_the_subcommands():
+    expected = json.loads(EXPECTED.read_text())
+    assert sorted(expected) == sorted(COMMANDS)
+    used = {command.split()[0] for command in COMMANDS.values()}
+    assert used == {
+        "chi", "acyclic", "acyclic-pipeline", "arb", "hom", "greedy-hom",
+        "extend-regular", "check-q", "search-q", "gen",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_output(name):
+    expected = json.loads(EXPECTED.read_text())[name]
+    assert _capture(COMMANDS[name]) == expected
+
+
+if __name__ == "__main__":
+    results = {name: _capture(command) for name, command in sorted(COMMANDS.items())}
+    EXPECTED.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(results)} outputs to {EXPECTED}", file=sys.stderr)

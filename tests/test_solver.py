@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from mixedgraphs import (
     ColorSignature,
@@ -21,8 +21,11 @@ from strategies import (
     directed_cycle,
     directed_path,
     mixed_graphs,
+    seeded_graph,
+    sparse_graphs,
     transitive_tournament,
 )
+from reference import quadratic_special_clique
 
 
 def _partitions(n: int):
@@ -92,6 +95,12 @@ def test_witness_partition_is_always_valid(g):
 def test_special_clique_never_exceeds_chi(g):
     clique = special_clique(g)
     assert len(clique) <= chromatic_number(g).k
+
+
+@given(st.one_of(mixed_graphs(max_order=12), sparse_graphs(max_order=60)))
+@settings(max_examples=150, deadline=None)
+def test_special_clique_matches_the_whole_order_scan(g):
+    assert special_clique(g) == quadratic_special_clique(g)
 
 
 def test_budget_exhaustion_reports_honest_bounds():
@@ -193,21 +202,8 @@ def test_every_graph_maps_into_its_own_quotient(g):
 # --- search order is pinned: node counts and witnesses of fixed graphs -----------
 
 
-def _seeded_graph(sig: ColorSignature, n: int, m: int, seed: int) -> MixedGraph:
-    rng = random.Random(seed)
-    g = MixedGraph(sig, n)
-    kinds = sig.kinds()
-    made = 0
-    while made < m:
-        u, v = rng.sample(range(n), 2)
-        if g.relation_from(u, v) is None:
-            g.add_relation(u, v, rng.choice(kinds))
-            made += 1
-    return g
-
-
 def test_chromatic_search_nodes_and_witness_are_pinned():
-    a = _seeded_graph(ColorSignature(1, 1), 14, 20, 7)
+    a = seeded_graph(ColorSignature(1, 1), 14, 20, 7)
     result = chromatic_number(a)
     assert (result.k, result.nodes) == (6, 65)
     assert result.witness.blocks == (
@@ -217,7 +213,7 @@ def test_chromatic_search_nodes_and_witness_are_pinned():
     assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (5, 6, 51, True)
     assert cut.witness == result.witness
 
-    b = _seeded_graph(ColorSignature(1, 0), 16, 24, 11)
+    b = seeded_graph(ColorSignature(1, 0), 16, 24, 11)
     result = chromatic_number(b)
     assert (result.k, result.nodes) == (6, 433)
     assert result.witness.blocks == (
@@ -228,7 +224,7 @@ def test_chromatic_search_nodes_and_witness_are_pinned():
 
 
 def test_homomorphism_search_witnesses_are_pinned():
-    source = _seeded_graph(ColorSignature(1, 0), 20, 22, 3)
+    source = seeded_graph(ColorSignature(1, 0), 20, 22, 3)
     hom = find_homomorphism(source, paley_tournament(11).graph)
     assert hom.mapping == (0, 1, 1, 0, 0, 0, 0, 1, 2, 2, 1, 1, 7, 1, 0, 2, 2, 3, 6, 1)
     hom = find_homomorphism(source, paley_tournament(7).graph)
