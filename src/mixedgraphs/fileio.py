@@ -167,7 +167,7 @@ def loads(text: str) -> GraphDocument:
             if not (0 <= u < graph.order and 0 <= v < graph.order):
                 raise FormatError(line_no, f"pair ({u}, {v}) out of range")
             key = (u, v) if u < v else (v, u)
-            if graph.relation_from(key[0], key[1]) is None:
+            if u == v or graph.relation_from(u, v) is None:
                 raise FormatError(line_no, f"pair ({u}, {v}) is not an underlying edge")
             if key in doc.forests:
                 raise FormatError(line_no, f"edge ({u}, {v}) assigned twice")

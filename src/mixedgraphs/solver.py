@@ -105,6 +105,14 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
     candidate sets of unassigned neighbors down to exact relation
     matches.  Deterministic: smallest candidate set first, ties and
     values in index order.
+
+    Candidate sets are int bitmasks over the target's vertices.  An index
+    built once per call, ``rows[x][i]`` with bit y set exactly when
+    ``target.relation_from(x, y)`` is the i-th canonical kind, turns each
+    filter into one AND.  Only the unassigned vertices whose candidate
+    set has shrunk are scanned for the smallest, so a node costs the
+    degree of its vertex plus that frontier rather than a pass over the
+    whole source.
     """
     if source.signature != target.signature:
         raise ValueError(
@@ -116,52 +124,82 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
     if nt == 0:
         return None
 
-    domains: list[set[int]] = [set(range(nt)) for _ in range(ns)]
+    index = source.signature.kind_index
+    rows = [[0] * source.signature.p for _ in range(nt)]
+    for x in range(nt):
+        for y, rel in target.neighbors(x).items():
+            rows[x][index(rel)] |= 1 << y
+    adj = [
+        [(w, index(rel)) for w, rel in source.neighbors(u).items()]
+        for u in range(ns)
+    ]
+    full = (1 << nt) - 1
+    domains = [full] * ns
     image = [-1] * ns
+    # (size, v) of each unassigned vertex v whose domain is not full.
+    # Their domains hold fewer than nt values and every other unassigned
+    # domain holds all nt, so the smallest (size, v) over all unassigned
+    # vertices lies here whenever this is non-empty; when it is empty,
+    # the smallest is the lowest unassigned index.
+    narrowed: dict[int, tuple[int, int]] = {}
 
-    def assign(u: int, x: int) -> list[tuple[int, set[int]]] | None:
-        trail: list[tuple[int, set[int]]] = []
-        for w, rel in source.neighbors(u).items():
+    def undo(trail: list[tuple[int, int]]) -> None:
+        for w, old in trail:
+            domains[w] = old
+            if old == full:
+                del narrowed[w]
+            else:
+                narrowed[w] = (old.bit_count(), w)
+
+    def assign(u: int, x: int) -> list[tuple[int, int]] | None:
+        trail: list[tuple[int, int]] = []
+        row = rows[x]
+        for w, i in adj[u]:
             if image[w] >= 0:
                 continue
-            keep = {
-                y
-                for y in domains[w]
-                if y != x and target.relation_from(x, y) == rel
-            }
-            if keep == domains[w]:
+            old = domains[w]
+            keep = old & row[i]
+            if keep == old:
                 continue
-            trail.append((w, domains[w]))
+            trail.append((w, old))
             domains[w] = keep
+            narrowed[w] = (keep.bit_count(), w)
             if not keep:
-                for ww, old in trail:
-                    domains[ww] = old
+                undo(trail)
                 return None
         return trail
 
     found = False
 
-    def search(depth: int) -> Generator:
+    def search(depth: int, first: int) -> Generator:
+        # every vertex below ``first`` stays assigned in this subtree
         nonlocal found
         if depth == ns:
             found = True
             return
-        u = min(
-            (v for v in range(ns) if image[v] < 0),
-            key=lambda v: (len(domains[v]), v),
-        )
-        for x in sorted(domains[u]):
-            image[u] = x
-            trail = assign(u, x)
+        if narrowed:
+            u = min(narrowed.values())[1]
+            below = first
+        else:
+            u = image.index(-1, first)
+            below = u + 1
+        held = narrowed.pop(u, None)
+        values = domains[u]
+        while values:
+            low = values & -values
+            values ^= low
+            image[u] = low.bit_length() - 1
+            trail = assign(u, image[u])
             if trail is not None:
-                yield search(depth + 1)
+                yield search(depth + 1, below)
                 if found:
                     return
-                for w, old in trail:
-                    domains[w] = old
-            image[u] = -1
+                undo(trail)
+        image[u] = -1
+        if held is not None:
+            narrowed[u] = held
 
-    _run_nested(search(0))
+    _run_nested(search(0, 0))
     if not found:
         return None
     hom = Homomorphism(ns, nt, tuple(image))
@@ -331,7 +369,11 @@ def chromatic_number(
     if lower > cap:
         raise ValueError(f"hints conflict: lower {lower} exceeds upper {cap}")
 
-    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+    adj = [
+        [(w, rel, rel.dual()) for w, rel in graph.neighbors(v).items()]
+        for v in range(n)
+    ]
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
     block_of = [-1] * n
     blocks: list[list[int]] = []
     joined: dict[tuple[int, int], RelationKind] = {}
@@ -343,14 +385,14 @@ def chromatic_number(
 
     def try_place(v: int, bi: int) -> list[tuple[int, int]] | None:
         added: list[tuple[int, int]] = []
-        for w, rel in graph.neighbors(v).items():
+        for w, rel, dual in adj[v]:
             bj = block_of[w]
             if bj < 0:
                 continue
             if bj == bi:
                 break
             key = (bi, bj) if bi < bj else (bj, bi)
-            need = rel if bi < bj else rel.dual()
+            need = rel if bi < bj else dual
             have = joined.get(key)
             if have is None:
                 joined[key] = need

@@ -104,3 +104,66 @@ def quadratic_special_clique(graph: MixedGraph) -> set[int]:
         if len(chosen) > len(best):
             best = chosen
     return set(best)
+
+
+def set_domain_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | None:
+    """Exact homomorphism search with set domains, forward checking through
+    ``relation_from`` and a scan of every source vertex for the smallest
+    domain at each node; plain recursion."""
+    if source.signature != target.signature:
+        raise ValueError(
+            f"signature mismatch: {source.signature} vs {target.signature}"
+        )
+    ns, nt = source.order, target.order
+    if ns == 0:
+        return Homomorphism(0, nt, ())
+    if nt == 0:
+        return None
+
+    domains: list[set[int]] = [set(range(nt)) for _ in range(ns)]
+    image = [-1] * ns
+
+    def assign(u: int, x: int) -> list[tuple[int, set[int]]] | None:
+        trail: list[tuple[int, set[int]]] = []
+        for w, rel in source.neighbors(u).items():
+            if image[w] >= 0:
+                continue
+            keep = {
+                y
+                for y in domains[w]
+                if y != x and target.relation_from(x, y) == rel
+            }
+            if keep == domains[w]:
+                continue
+            trail.append((w, domains[w]))
+            domains[w] = keep
+            if not keep:
+                for ww, old in trail:
+                    domains[ww] = old
+                return None
+        return trail
+
+    def search(depth: int) -> bool:
+        if depth == ns:
+            return True
+        u = min(
+            (v for v in range(ns) if image[v] < 0),
+            key=lambda v: (len(domains[v]), v),
+        )
+        for x in sorted(domains[u]):
+            image[u] = x
+            trail = assign(u, x)
+            if trail is not None:
+                if search(depth + 1):
+                    return True
+                for w, old in trail:
+                    domains[w] = old
+            image[u] = -1
+        return False
+
+    if not search(0):
+        return None
+    hom = Homomorphism(ns, nt, tuple(image))
+    audit = check_homomorphism(source, target, hom.mapping)
+    assert audit is None, f"solver produced an invalid homomorphism: {audit}"
+    return hom

@@ -42,18 +42,34 @@ def transitive_tournament(order: int) -> MixedGraph:
 
 
 def sparse_graph(
-    signature: ColorSignature, order: int, rng: Random, max_degree: int = 3, back: int = 2
+    signature: ColorSignature,
+    order: int,
+    rng: Random,
+    max_degree: int = 3,
+    back: int = 2,
+    plant: MixedGraph | None = None,
 ) -> MixedGraph:
     """Vertex v joins up to ``back`` of the 30 vertices before it whose
     degree is below ``max_degree``, with uniform kinds; the degeneracy is
-    at most ``back``."""
+    at most ``back``.  With ``plant`` (a graph of the same signature
+    whose vertices are pairwise adjacent) every vertex first gets a
+    random image and each relation copies the one between the two
+    images, so a homomorphism into ``plant`` exists."""
     g = MixedGraph(signature, order)
     kinds = signature.kinds()
+    image = [rng.randrange(plant.order) for _ in range(order)] if plant is not None else None
     for v in range(1, order):
-        pool = [u for u in range(max(0, v - 30), v) if g.degree(u) < max_degree]
+        pool = [
+            u
+            for u in range(max(0, v - 30), v)
+            if g.degree(u) < max_degree and (image is None or image[u] != image[v])
+        ]
         for u in rng.sample(pool, min(rng.randint(1, back), len(pool))):
             if g.degree(v) < max_degree:
-                g.add_relation(u, v, rng.choice(kinds))
+                if image is None:
+                    g.add_relation(u, v, rng.choice(kinds))
+                else:
+                    g.add_relation(u, v, plant.relation_from(image[u], image[v]))
     return g
 
 

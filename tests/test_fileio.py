@@ -79,6 +79,7 @@ def test_arc_lines_survive_direction():
         (HEADER + "color 9 1\n", 4, "out of range"),
         (HEADER + "color 1 1\ncolor 1 2\n", 5, "twice"),
         (HEADER + "forest 0 1 0\n", 4, "not an underlying edge"),
+        (HEADER + "forest 1 1 0\n", 4, "pair (1, 1) is not an underlying edge"),
         (HEADER + "a 0 1 1\nforest 0 1 0\nforest 1 0 1\n", 6, "twice"),
         (HEADER + "a 0 1 1\nforest 0 1 -1\n", 5, "non-negative"),
         (HEADER + "banana 1\n", 4, "unknown directive"),

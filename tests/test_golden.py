@@ -71,6 +71,32 @@ COMMANDS = {
     "gen-hk": "gen hk 3 --sig 1 0",
     "gen-hk-small": "gen hk 2 --sig 1 0",
     "gen-gadget": "gen gadget 3 --sig 1 1",
+    "sample-target": "sample-target --sig 1 0 --order 6 --seed 3",
+    "sample-target-mixed": "sample-target --sig 1 1 --order 5 --seed 9 -o -",
+    "sample-target-empty": "sample-target --sig 1 0 --order 0 --seed 3",
+    "sample-target-bad-sig": "sample-target --sig 0 0 --order 4 --seed 3",
+    "bounds-nr-upper": "bounds nr-upper 3 2",
+    "bounds-nr-upper-records": "bounds nr-upper 3 2 --format records",
+    "bounds-nr-upper-bad": "bounds nr-upper 0 2",
+    "bounds-planar-upper": "bounds planar-upper 3",
+    "bounds-planar-upper-records": "bounds planar-upper 3 --format records",
+    "bounds-arb-upper": "bounds arb-upper 5 2",
+    "bounds-arb-upper-records": "bounds arb-upper 5 2 --format records",
+    "bounds-arb-upper-bad": "bounds arb-upper 5 1 --format records",
+    "bounds-acyclic-upper-arb": "bounds acyclic-upper-arb 3 2 2",
+    "bounds-acyclic-upper-arb-records": "bounds acyclic-upper-arb 3 2 2 --format records",
+    "bounds-acyclic-upper-chi": "bounds acyclic-upper-chi 100 3",
+    "bounds-acyclic-upper-chi-records": "bounds acyclic-upper-chi 100 3 --format records",
+    "bounds-acyclic-upper-chi-log2": "bounds acyclic-upper-chi 100 3 --outer-log2",
+    "bounds-acyclic-upper-chi-log2-records": "bounds acyclic-upper-chi 100 3 --outer-log2 --format records",
+    "bounds-degree": "bounds degree 5 2",
+    "bounds-degree-records": "bounds degree 5 2 --format records",
+    "bounds-degree-small": "bounds degree 2 3",
+    "bounds-degree-small-records": "bounds degree 2 3 --format records",
+    "bounds-counting-holds": "bounds counting c5.mg 3",
+    "bounds-counting-holds-records": "bounds counting c5.mg 3 --format records",
+    "bounds-counting-fails": "bounds counting mixed.mg 2",
+    "bounds-counting-fails-records": "bounds counting mixed.mg 2 --format records",
 }
 
 
@@ -91,7 +117,12 @@ def test_golden_commands_cover_the_subcommands():
     used = {command.split()[0] for command in COMMANDS.values()}
     assert used == {
         "chi", "acyclic", "acyclic-pipeline", "arb", "hom", "greedy-hom",
-        "extend-regular", "check-q", "search-q", "gen",
+        "extend-regular", "check-q", "search-q", "gen", "sample-target", "bounds",
+    }
+    bounds = {command.split()[1] for command in COMMANDS.values() if command.startswith("bounds ")}
+    assert bounds == {
+        "nr-upper", "planar-upper", "arb-upper", "acyclic-upper-arb",
+        "acyclic-upper-chi", "degree", "counting",
     }
 
 

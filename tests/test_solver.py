@@ -14,9 +14,11 @@ from mixedgraphs import (
     find_homomorphism,
     paley_tournament,
     quotient,
+    sample_complete,
     special_clique,
 )
 from strategies import (
+    SIGNATURES,
     complete_graph,
     directed_cycle,
     directed_path,
@@ -25,7 +27,7 @@ from strategies import (
     sparse_graphs,
     transitive_tournament,
 )
-from reference import quadratic_special_clique
+from reference import quadratic_special_clique, set_domain_homomorphism
 
 
 def _partitions(n: int):
@@ -231,3 +233,75 @@ def test_homomorphism_search_witnesses_are_pinned():
     assert hom.mapping == (0, 1, 1, 0, 0, 0, 0, 1, 3, 3, 1, 1, 6, 1, 0, 3, 3, 4, 5, 1)
     hom = find_homomorphism(directed_cycle(9), paley_tournament(7).graph)
     assert hom.mapping == (0, 1, 2, 3, 0, 1, 2, 3, 5)
+
+
+# --- the bitmask search against the set-domain reference ---------------------------
+
+
+def _relabeled_union(parts, isolated: int, perm) -> MixedGraph:
+    """Disjoint union of ``parts`` plus ``isolated`` lone vertices, with
+    vertex i renamed perm[i], so components interleave by index."""
+    g = MixedGraph(parts[0].signature, sum(p.order for p in parts) + isolated)
+    offset = 0
+    for part in parts:
+        for u, v, rel in part.relations():
+            g.add_relation(perm[offset + u], perm[offset + v], rel)
+        offset += part.order
+    return g
+
+
+def _assert_hom_matches_reference(source, target) -> str:
+    fast = find_homomorphism(source, target)
+    assert fast == set_domain_homomorphism(source, target)
+    return "none" if fast is None else "found"
+
+
+@st.composite
+def hom_instances(draw):
+    sig = draw(st.sampled_from(SIGNATURES))
+    parts = draw(st.lists(
+        st.one_of(mixed_graphs(5, (sig,)), sparse_graphs(12, (sig,))), min_size=1, max_size=3
+    ))
+    isolated = draw(st.integers(0, 3))
+    perm = draw(st.permutations(range(sum(p.order for p in parts) + isolated)))
+    source = _relabeled_union(parts, isolated, perm)
+    target = draw(st.one_of(
+        st.builds(sample_complete, st.just(sig), st.integers(0, 7), st.integers(0, 2**32 - 1)).map(
+            lambda t: t.graph
+        ),
+        mixed_graphs(6, (sig,)),
+    ))
+    return source, target
+
+
+@given(hom_instances())
+@settings(max_examples=200, deadline=None)
+def test_find_homomorphism_matches_the_set_domain_reference(instance):
+    _assert_hom_matches_reference(*instance)
+
+
+def test_find_homomorphism_matches_reference_on_both_outcomes():
+    # Instances on which a wrong vertex order changes the result are
+    # rare, hence many small ones: this corpus tells apart a search that
+    # keeps a stale domain size after undoing a second narrowing.
+    rng = random.Random(2204)
+    outcomes = []
+    for trial in range(1500):
+        sig = SIGNATURES[trial % len(SIGNATURES)]
+        sizes = [rng.randint(4, 14)] if trial % 4 else [rng.randint(2, 5) for _ in range(3)]
+        parts = [
+            seeded_graph(sig, n, rng.randint(1, min(2 * n, n * (n - 1) // 2)), rng.randrange(10**6))
+            for n in sizes
+        ]
+        isolated = rng.randint(0, 2)
+        perm = list(range(sum(sizes) + isolated))
+        rng.shuffle(perm)
+        source = _relabeled_union(parts, isolated, perm)
+        nt = rng.randint(3, 7)
+        if trial % 2:
+            target = sample_complete(sig, nt, rng.randrange(10**6)).graph
+        else:
+            target = seeded_graph(sig, nt, rng.randint(1, nt * (nt - 1) // 2), rng.randrange(10**6))
+        outcomes.append(_assert_hom_matches_reference(source, target))
+    assert outcomes.count("found") >= 300
+    assert outcomes.count("none") >= 300

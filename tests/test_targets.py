@@ -15,6 +15,7 @@ from mixedgraphs import (
     check_homomorphism,
     check_property_q,
     extend_regular,
+    find_homomorphism,
     greedy_homomorphism,
     lemma_parameters,
     paley_tournament,
@@ -235,6 +236,14 @@ def test_greedy_embeds_a_large_sparse_source():
     mapping = embedding.homomorphism.mapping
     assert check_homomorphism(source, target.graph, mapping) is None
     assert len(embedding.steps) == 20_000
+
+
+def test_exact_search_maps_a_large_planted_source():
+    qr7 = paley_tournament(7).graph
+    source = sparse_graph(SIG, 20_000, random.Random(7), max_degree=3, back=2, plant=qr7)
+    hom = find_homomorphism(source, qr7)
+    assert hom is not None
+    assert check_homomorphism(source, qr7, hom.mapping) is None
 
 
 # --- regular extension --------------------------------------------------------------
