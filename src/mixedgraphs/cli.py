@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -34,6 +33,7 @@ from .decomposition import (
 )
 from .solver import (
     BudgetExceededError,
+    ChromaticResult,
     Partition,
     check_homomorphism,
     check_partition,
@@ -57,49 +57,22 @@ OK, VIOLATED, USAGE, BUDGET = 0, 1, 2, 3
 _SELF = "<input>"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; budgets are validated up front."""
-
-    subcommand: str
-    inputs: tuple[str, ...]
-    signature: ColorSignature | None
-    seed: int | None
-    budget: int | None
-    attempts: int | None
-    subset_limit: int | None
-    fmt: str
-
-    def __post_init__(self):
-        for name in ("budget", "attempts", "subset_limit"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name.replace('_', '-')} must be positive")
-
-    @classmethod
-    def from_namespace(cls, args: argparse.Namespace) -> "RunConfig":
-        sig = getattr(args, "sig", None)
-        inputs = tuple(
-            getattr(args, name)
-            for name in ("graph", "source", "target")
-            if getattr(args, name, None) is not None
-        )
-        return cls(
-            subcommand=args.command,
-            inputs=inputs,
-            signature=ColorSignature(*sig) if sig is not None else None,
-            seed=getattr(args, "seed", None),
-            budget=getattr(args, "budget", None),
-            attempts=getattr(args, "attempts", None),
-            subset_limit=getattr(args, "subset_limit", None),
-            fmt=getattr(args, "format", "text"),
-        )
+def _positive(text: str) -> int:
+    """argparse type of budgets and limits: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 class _Output:
     """Collects either human text lines or JSON record lines."""
 
     def __init__(self, args: argparse.Namespace):
+        self.command = args.command
         self.records = getattr(args, "format", "text") == "records"
 
     def emit(self, record: dict, text: str | Iterable[str]) -> None:
@@ -111,6 +84,21 @@ class _Output:
             for line in text:
                 print(line)
 
+    def verdict(self, noun: str, failure: str | None, summary: str = "", **fields) -> int:
+        """Emit the outcome of a --check audit: valid, or invalid with the reason."""
+        record = f"{self.command}-check"
+        if failure is not None:
+            self.emit(
+                {"record": record, "valid": False, "reason": failure},
+                f"{noun} invalid: {failure}",
+            )
+            return VIOLATED
+        self.emit(
+            {"record": record, "valid": True, **fields},
+            f"{noun} valid: {summary}" if summary else f"{noun} valid",
+        )
+        return OK
+
 
 def _read_document(path: str) -> fileio.GraphDocument:
     if path == "-":
@@ -118,10 +106,59 @@ def _read_document(path: str) -> fileio.GraphDocument:
     return fileio.load(path)
 
 
-def _witness_document(args: argparse.Namespace) -> fileio.GraphDocument:
-    """The document holding sidecar lines for --check (default: the input)."""
-    path = args.graph if args.check == _SELF else args.check
-    return _read_document(path)
+def _sidecar(args: argparse.Namespace, doc: fileio.GraphDocument, lines: str) -> dict:
+    """The color or forest lines that --check audits (default: the input's)."""
+    witness = doc if args.check == _SELF else _read_document(args.check)
+    found = witness.coloring if lines == "color" else witness.forests
+    if not found:
+        raise ValueError(f"--check needs a file with {lines} lines")
+    return found
+
+
+def _per_vertex(assignment: dict[int, int], order: int, noun: str) -> dict[int, int]:
+    """A witness naming exactly the vertices 0..order-1; else an input error."""
+    for v in range(order):
+        if v not in assignment:
+            raise ValueError(f"{noun} misses vertex {v}")
+    if len(assignment) > order:
+        extra = min(v for v in assignment if not 0 <= v < order)
+        raise ValueError(f"{noun} names vertex {extra} out of range")
+    return assignment
+
+
+def _emit_search(args, doc, result: ChromaticResult, title: str, first_color: int) -> int:
+    """Emit an exact result with its witness coloring, or exhausted bounds."""
+    out = _Output(args)
+    if not result.exact:
+        out.emit(
+            {
+                "record": args.command,
+                "exact": False,
+                "lower": result.lower,
+                "upper": result.upper,
+                "nodes": result.nodes,
+            },
+            f"budget exhausted after {result.nodes} nodes: "
+            f"bounds [{result.lower}, {result.upper}]",
+        )
+        return BUDGET
+    assert result.witness is not None
+    coloring = {v: b + first_color for v, b in result.witness.block_of().items()}
+    lines = [f"{title} {result.k}"]
+    lines.extend(_coloring_lines(coloring))
+    out.emit(
+        {
+            "record": args.command,
+            "exact": True,
+            "k": result.k,
+            "nodes": result.nodes,
+            "witness": [coloring[v] for v in sorted(coloring)],
+        },
+        lines,
+    )
+    if args.output:
+        _write_or_print(args.output, fileio.dumps(doc.graph, coloring=coloring))
+    return OK
 
 
 def _write_or_print(out: str | None, text: str) -> None:
@@ -158,22 +195,10 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     doc = _read_document(args.graph)
     out = _Output(args)
     if args.check is not None:
-        witness = _witness_document(args)
-        if not witness.coloring:
-            raise ValueError("--check needs a file with color lines")
-        partition = Partition.from_coloring(witness.coloring)
+        coloring = _per_vertex(_sidecar(args, doc, "color"), doc.graph.order, "coloring")
+        partition = Partition.from_coloring(coloring)
         failure = check_partition(doc.graph, partition)
-        if failure is None:
-            out.emit(
-                {"record": "chi-check", "valid": True, "k": partition.k},
-                f"partition valid: {partition.k} classes",
-            )
-            return OK
-        out.emit(
-            {"record": "chi-check", "valid": False, "reason": failure},
-            f"partition invalid: {failure}",
-        )
-        return VIOLATED
+        return out.verdict("partition", failure, f"{partition.k} classes", k=partition.k)
     if args.lower_only:
         clique = sorted(special_clique(doc.graph))
         out.emit(
@@ -187,35 +212,7 @@ def _cmd_chi(args: argparse.Namespace) -> int:
         upper_hint=args.upper_hint,
         budget=args.budget,
     )
-    if result.exact:
-        assert result.witness is not None
-        coloring = result.witness.block_of()
-        lines = [f"chromatic number {result.k}"]
-        lines.extend(_coloring_lines(coloring))
-        out.emit(
-            {
-                "record": "chi",
-                "exact": True,
-                "k": result.k,
-                "nodes": result.nodes,
-                "witness": [coloring[v] for v in sorted(coloring)],
-            },
-            lines,
-        )
-        if args.output:
-            _write_or_print(args.output, fileio.dumps(doc.graph, coloring=coloring))
-        return OK
-    out.emit(
-        {
-            "record": "chi",
-            "exact": False,
-            "lower": result.lower,
-            "upper": result.upper,
-            "nodes": result.nodes,
-        },
-        f"budget exhausted after {result.nodes} nodes: bounds [{result.lower}, {result.upper}]",
-    )
-    return BUDGET
+    return _emit_search(args, doc, result, "chromatic number", 0)
 
 
 def _cmd_hom(args: argparse.Namespace) -> int:
@@ -224,20 +221,11 @@ def _cmd_hom(args: argparse.Namespace) -> int:
     out = _Output(args)
     if args.check is not None:
         text = Path(args.check).read_text() if args.check != "-" else sys.stdin.read()
-        mapping_dict = fileio.loads_mapping(text)
-        missing = [v for v in range(source.order) if v not in mapping_dict]
-        if missing:
-            raise ValueError(f"map misses vertex {missing[0]}")
-        mapping = [mapping_dict[v] for v in range(source.order)]
-        failure = check_homomorphism(source, target, mapping)
-        if failure is None:
-            out.emit({"record": "hom-check", "valid": True}, "homomorphism valid")
-            return OK
-        out.emit(
-            {"record": "hom-check", "valid": False, "reason": failure},
-            f"homomorphism invalid: {failure}",
+        mapping = _per_vertex(fileio.loads_mapping(text), source.order, "map")
+        failure = check_homomorphism(
+            source, target, [mapping[v] for v in range(source.order)]
         )
-        return VIOLATED
+        return out.verdict("homomorphism", failure)
     hom = find_homomorphism(source, target)
     if hom is None:
         out.emit({"record": "hom", "found": False}, "no homomorphism exists")
@@ -253,22 +241,9 @@ def _cmd_arb(args: argparse.Namespace) -> int:
     doc = _read_document(args.graph)
     out = _Output(args)
     if args.check is not None:
-        witness = _witness_document(args)
-        if not witness.forests:
-            raise ValueError("--check needs a file with forest lines")
-        fd = ForestDecomposition.from_assignment(witness.forests)
+        fd = ForestDecomposition.from_assignment(_sidecar(args, doc, "forest"))
         failure = check_forest_decomposition(doc.graph, fd)
-        if failure is None:
-            out.emit(
-                {"record": "arb-check", "valid": True, "forests": fd.count},
-                f"decomposition valid: {fd.count} forests",
-            )
-            return OK
-        out.emit(
-            {"record": "arb-check", "valid": False, "reason": failure},
-            f"decomposition invalid: {failure}",
-        )
-        return VIOLATED
+        return out.verdict("decomposition", failure, f"{fd.count} forests", forests=fd.count)
     fd = greedy_forests(doc.graph)
     try:
         arb, witness_set = nash_williams_density(
@@ -309,53 +284,12 @@ def _cmd_acyclic(args: argparse.Namespace) -> int:
     doc = _read_document(args.graph)
     out = _Output(args)
     if args.check is not None:
-        witness = _witness_document(args)
-        if not witness.coloring:
-            raise ValueError("--check needs a file with color lines")
-        failure = check_acyclic_coloring(doc.graph, witness.coloring)
-        if failure is None:
-            k = len(set(witness.coloring.values()))
-            out.emit(
-                {"record": "acyclic-check", "valid": True, "k": k},
-                f"acyclic coloring valid: {k} colors",
-            )
-            return OK
-        out.emit(
-            {"record": "acyclic-check", "valid": False, "reason": failure},
-            f"acyclic coloring invalid: {failure}",
-        )
-        return VIOLATED
+        coloring = _per_vertex(_sidecar(args, doc, "color"), doc.graph.order, "coloring")
+        failure = check_acyclic_coloring(doc.graph, coloring)
+        k = len(set(coloring.values()))
+        return out.verdict("acyclic coloring", failure, f"{k} colors", k=k)
     result = acyclic_chromatic_number(doc.graph, budget=args.budget)
-    if result.exact:
-        assert result.witness is not None
-        lines = [f"acyclic chromatic number {result.k}"]
-        lines.extend(_coloring_lines(result.witness))
-        out.emit(
-            {
-                "record": "acyclic",
-                "exact": True,
-                "k": result.k,
-                "nodes": result.nodes,
-                "witness": [result.witness[v] for v in sorted(result.witness)],
-            },
-            lines,
-        )
-        if args.output:
-            _write_or_print(
-                args.output, fileio.dumps(doc.graph, coloring=result.witness)
-            )
-        return OK
-    out.emit(
-        {
-            "record": "acyclic",
-            "exact": False,
-            "lower": result.lower,
-            "upper": result.upper,
-            "nodes": result.nodes,
-        },
-        f"budget exhausted after {result.nodes} nodes: bounds [{result.lower}, {result.upper}]",
-    )
-    return BUDGET
+    return _emit_search(args, doc, result, "acyclic chromatic number", 1)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -470,10 +404,9 @@ def _cmd_check_q(args: argparse.Namespace) -> int:
 
 
 def _cmd_search_q(args: argparse.Namespace) -> int:
+    sig = ColorSignature(*args.sig)
     spec = _parse_property(args)
-    found = search_q_target(
-        ColorSignature(*args.sig), args.order, spec, args.attempts, args.seed
-    )
+    found = search_q_target(sig, args.order, spec, args.attempts, args.seed)
     out = _Output(args)
     if found is None:
         out.emit(
@@ -674,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="exact chromatic number with witness partition")
     _add_graph(p)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_positive, default=10_000_000)
     p.add_argument("--lower-hint", type=int, default=0)
     p.add_argument("--upper-hint", type=int, default=None)
     p.add_argument(
@@ -698,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("arb", help="exact arboricity and greedy forests")
     _add_graph(p)
-    p.add_argument("--subset-limit", type=int, default=20)
+    p.add_argument("--subset-limit", type=_positive, default=20)
     _add_check(p, "forest")
     p.add_argument("-o", "--output", help="write graph plus greedy forest lines here")
     _add_format(p)
@@ -706,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("acyclic", help="exact acyclic chromatic number")
     _add_graph(p)
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--budget", type=_positive, default=5_000_000)
     _add_check(p, "color")
     p.add_argument("-o", "--output", help="write graph plus witness coloring here")
     _add_format(p)
@@ -745,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--forests", metavar="FD", help="file with forest lines (default: greedy)"
     )
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_positive, default=10_000_000)
     p.add_argument("-o", "--output", help="write graph plus coloring here")
     _add_format(p)
     p.set_defaults(func=_cmd_pipeline)
@@ -773,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--tuples", type=int, required=True)
     p.add_argument("--min", required=True)
-    p.add_argument("--attempts", type=int, required=True)
+    p.add_argument("--attempts", type=_positive, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", help="write the found target here")
     _add_format(p)
@@ -838,7 +771,6 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:
-        RunConfig.from_namespace(args)
         return args.func(args)
     except (fileio.FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,13 @@ from typing import Generator, Mapping, Sequence
 
 from .bounds import ceil_log
 from .core import ColorSignature, MixedGraph, degeneracy_ordering, require_rich_signature
-from .solver import BudgetExceededError, _run_nested, chromatic_number
+from .solver import (
+    BudgetExceededError,
+    ChromaticResult,
+    Partition,
+    _run_nested,
+    chromatic_number,
+)
 
 
 class ExactUnavailableError(RuntimeError):
@@ -225,40 +231,21 @@ def check_acyclic_coloring(graph: MixedGraph, coloring: Mapping[int, int]) -> st
     return None
 
 
-@dataclass(frozen=True)
-class AcyclicResult:
-    """Outcome of an exact acyclic-chromatic-number search."""
-
-    lower: int
-    upper: int
-    witness: dict[int, int] | None
-    nodes: int
-    exhausted: bool
-
-    @property
-    def exact(self) -> bool:
-        return not self.exhausted and self.lower == self.upper
-
-    @property
-    def k(self) -> int:
-        if not self.exact:
-            raise ValueError(f"not exact: bounds are [{self.lower}, {self.upper}]")
-        return self.upper
-
-
-def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> AcyclicResult:
+def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> ChromaticResult:
     """Exact acyclic chromatic number of the underlying graph.
 
     Tries palette sizes in increasing order; for each, backtracks over
     vertex colors (descending degree order) and rejects any assignment
     that makes a neighbor monochromatic or closes a bichromatic cycle.
-    Every color assignment attempt costs one node from the budget.  The
-    backtracking runs on an explicit stack, so its depth is not bounded
-    by the interpreter's recursion limit.
+    Every color assignment attempt costs one node from the budget; when
+    it runs out, the palette size reached is the lower bound and the
+    singleton partition attains n.  Witness blocks are in color order.
+    The backtracking runs on an explicit stack, so its depth is not
+    bounded by the interpreter's recursion limit.
     """
     n = graph.order
     if n == 0:
-        return AcyclicResult(0, 0, {}, 0, False)
+        return ChromaticResult(0, 0, Partition(()), 0, False)
     lower = 2 if graph.e_count > 0 else 1
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
     adj = [graph.neighbors(v) for v in range(n)]
@@ -298,10 +285,10 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Acyc
                 seen.add(comp[w])
         return False
 
-    found = False
+    found = out_of_budget = False
 
     def search(idx: int, k: int, used: int) -> Generator:
-        nonlocal nodes, found
+        nonlocal nodes, found, out_of_budget
         if idx == n:
             found = True
             return
@@ -310,26 +297,26 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Acyc
         for c in range(min(used + 1, k)):
             nodes += 1
             if nodes > budget:
-                raise BudgetExceededError("acyclic search budget exhausted", 0, 0)
+                out_of_budget = True
+                return
             if c in forbidden or closes_bichromatic_cycle(v, c):
                 continue
             colors[v] = c
             yield search(idx + 1, k, max(used, c + 1))
-            if found:
+            if found or out_of_budget:
                 return
             del colors[v]
 
     for k in range(lower, n + 1):
         colors.clear()
-        try:
-            _run_nested(search(0, k, 0))
-        except BudgetExceededError:
-            return AcyclicResult(k, n, None, nodes, True)
+        _run_nested(search(0, k, 0))
+        if out_of_budget:
+            singletons = Partition(tuple((v,) for v in range(n)))
+            return ChromaticResult(k, n, singletons, nodes, True)
         if found:
-            witness = {v: colors[v] + 1 for v in range(n)}
-            audit = check_acyclic_coloring(graph, witness)
+            audit = check_acyclic_coloring(graph, colors)
             assert audit is None, f"search produced a bad coloring: {audit}"
-            return AcyclicResult(k, k, witness, nodes, False)
+            return ChromaticResult(k, k, Partition.from_coloring(colors), nodes, False)
     raise AssertionError("distinct colors always succeed")  # pragma: no cover
 
 

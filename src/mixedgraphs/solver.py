@@ -169,14 +169,19 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
                 return None
         return trail
 
-    found = False
+    found = refuted = False
 
     def search(depth: int, first: int) -> Generator:
         # every vertex below ``first`` stays assigned in this subtree
-        nonlocal found
+        nonlocal found, refuted
         if depth == ns:
             found = True
             return
+        # With nothing narrowed, no unassigned vertex has an assigned
+        # neighbour (an image never allows itself), so the unassigned
+        # vertices form whole components that no earlier choice
+        # constrains: if this subtree fails, every other one fails too.
+        fresh = not narrowed
         if narrowed:
             u = min(narrowed.values())[1]
             below = first
@@ -192,12 +197,13 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
             trail = assign(u, image[u])
             if trail is not None:
                 yield search(depth + 1, below)
-                if found:
+                if found or refuted:
                     return
                 undo(trail)
         image[u] = -1
         if held is not None:
             narrowed[u] = held
+        refuted = fresh
 
     _run_nested(search(0, 0))
     if not found:
@@ -321,9 +327,9 @@ def special_clique(graph: MixedGraph) -> set[int]:
 
 @dataclass(frozen=True)
 class ChromaticResult:
-    """Outcome of a chromatic-number search.
+    """Outcome of a chromatic or acyclic chromatic number search.
 
-    When ``exact``, lower == upper is the chromatic number and
+    When ``exact``, lower == upper is the number sought and
     ``witness`` is an optimal partition.  Otherwise the budget ran out
     and only the bounds are certified (witness, if any, attains upper).
     """

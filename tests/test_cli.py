@@ -221,8 +221,21 @@ def test_exit_code_budget(c5):
     assert run(["chi", c5, "--budget", "2"]) == 3
 
 
-def test_negative_budget_is_a_usage_error(c5, capsys):
-    assert run(["chi", c5, "--budget", "-5"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            [command, "GRAPH", "--budget", value]
+            for command in ("chi", "acyclic", "acyclic-pipeline")
+            for value in ("0", "-5")
+        ),
+        ["search-q", "--sig", "1", "0", "--order", "5", "--tuples", "1",
+         "--min", "1,1", "--attempts", "0", "--seed", "1"],
+        ["arb", "GRAPH", "--subset-limit", "0"],
+    ],
+)
+def test_negative_budget_is_a_usage_error(argv, c5, capsys):
+    assert run([c5 if word == "GRAPH" else word for word in argv]) == 2
     assert "positive" in capsys.readouterr().err
 
 
@@ -232,6 +245,15 @@ def test_stdin_input(c5, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(C5))
     assert run(["chi", "--lower-only"]) == 0
     assert "chromatic number >=" in capsys.readouterr().out
+
+
+def test_self_check_reads_stdin_once(capsys, monkeypatch):
+    import io
+
+    coloring = "".join(f"color {v} {v + 1}\n" for v in range(5))
+    monkeypatch.setattr("sys.stdin", io.StringIO(C5 + coloring))
+    assert run(["chi", "--check"]) == 0
+    assert "partition valid: 5 classes" in capsys.readouterr().out
 
 
 def test_verify_subcommand_rejects_unknown_numbers(capsys):

@@ -11,6 +11,7 @@ from mixedgraphs import (
     ExactUnavailableError,
     ForestDecomposition,
     MixedGraph,
+    Partition,
     acyclic_chromatic_number,
     acyclic_from_homomorphisms,
     ceil_log,
@@ -139,8 +140,8 @@ def test_acyclic_chromatic_known_values():
 def test_acyclic_witness_always_verifies(g):
     result = acyclic_chromatic_number(g)
     assert result.exact
-    assert check_acyclic_coloring(g, result.witness) is None
-    assert len(set(result.witness.values())) == result.k
+    assert check_acyclic_coloring(g, result.witness.block_of()) is None
+    assert result.witness.k == result.k
 
 
 def test_acyclic_budget_exhaustion():
@@ -153,25 +154,25 @@ def test_acyclic_search_nodes_and_witness_are_pinned():
     a = seeded_graph(ColorSignature(1, 0), 14, 35, 7)
     result = acyclic_chromatic_number(a)
     assert (result.k, result.nodes) == (5, 700)
-    assert result.witness == {
+    assert result.witness == Partition.from_coloring({
         0: 1, 1: 1, 2: 1, 3: 5, 4: 1, 5: 2, 6: 4,
         7: 2, 8: 2, 9: 3, 10: 4, 11: 5, 12: 4, 13: 4,
-    }
+    })
     cut = acyclic_chromatic_number(a, budget=350)
     assert (cut.lower, cut.upper, cut.nodes, cut.exhausted, cut.witness) == (
-        5, 14, 351, True, None
+        5, 14, 351, True, Partition(tuple((v,) for v in range(14)))
     )
 
     b = seeded_graph(ColorSignature(1, 0), 20, 50, 9)
     result = acyclic_chromatic_number(b)
     assert (result.k, result.nodes) == (5, 5959)
-    assert result.witness == {
+    assert result.witness == Partition.from_coloring({
         0: 2, 1: 1, 2: 1, 3: 2, 4: 4, 5: 2, 6: 3, 7: 4, 8: 3, 9: 4,
         10: 1, 11: 3, 12: 4, 13: 3, 14: 1, 15: 1, 16: 4, 17: 2, 18: 5, 19: 5,
-    }
+    })
     cut = acyclic_chromatic_number(b, budget=2979)
     assert (cut.lower, cut.upper, cut.nodes, cut.exhausted, cut.witness) == (
-        4, 20, 2980, True, None
+        4, 20, 2980, True, Partition(tuple((v,) for v in range(20)))
     )
 
 

@@ -4,8 +4,8 @@ The inputs are the small graph files in ``tests/golden/``; the expected
 exit code, stdout and stderr of each command are in
 ``tests/golden/expected.json``.  A change meant to keep the output must
 pass this test unchanged.  Only when an output change is intended,
-regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``
-and review its diff.
+regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``,
+which names every entry it adds, removes or changes, and review its diff.
 """
 
 import contextlib
@@ -21,7 +21,7 @@ from mixedgraphs.cli import run
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = GOLDEN / "expected.json"
 
-# argv per command; a word ending in ".mg" names a file in tests/golden/
+# argv per command; a word ending in ".mg" or ".map" names a file in tests/golden/
 COMMANDS = {
     "chi-c5": "chi c5.mg",
     "chi-c5-records": "chi c5.mg --format records",
@@ -33,12 +33,24 @@ COMMANDS = {
     "chi-lower-only-records": "chi mixed.mg --lower-only --format records",
     "chi-check": "chi c5.mg --check c5-colored.mg",
     "chi-check-records": "chi c5.mg --check c5-colored.mg --format records",
+    "chi-check-valid": "chi c5.mg --check c5-good.mg",
+    "chi-check-valid-records": "chi c5.mg --check c5-good.mg --format records",
+    "chi-check-self": "chi c5-colored.mg --check",
+    "chi-check-no-lines": "chi c5.mg --check",
+    "chi-check-missing": "chi c5.mg --check c5-partial.mg",
+    "chi-check-out-of-range": "chi c5.mg --check w7-colored.mg",
     "acyclic-c5": "acyclic c5.mg",
+    "acyclic-c5-records": "acyclic c5.mg --format records",
     "acyclic-mixed": "acyclic mixed.mg -o -",
     "acyclic-mixed-records": "acyclic mixed.mg --format records",
     "acyclic-dense-budget": "acyclic dense.mg --budget 30",
     "acyclic-dense-budget-records": "acyclic dense.mg --budget 30 --format records",
     "acyclic-check": "acyclic c5.mg --check c5-colored.mg",
+    "acyclic-check-records": "acyclic c5.mg --check c5-colored.mg --format records",
+    "acyclic-check-invalid": "acyclic c5.mg --check c5-bad.mg",
+    "acyclic-check-invalid-records": "acyclic c5.mg --check c5-bad.mg --format records",
+    "acyclic-check-missing": "acyclic c5.mg --check c5-partial.mg",
+    "acyclic-check-out-of-range": "acyclic c5.mg --check w7-colored.mg",
     "acyclic-pipeline-mixed": "acyclic-pipeline mixed.mg -o -",
     "acyclic-pipeline-mixed-records": "acyclic-pipeline mixed.mg --format records",
     "acyclic-pipeline-dense": "acyclic-pipeline dense.mg",
@@ -47,12 +59,23 @@ COMMANDS = {
     "arb-mixed-records": "arb mixed.mg --format records",
     "arb-dense-limit": "arb dense.mg --subset-limit 8",
     "arb-dense-limit-records": "arb dense.mg --subset-limit 8 --format records",
+    "arb-check": "arb c5.mg --check c5-good.mg",
+    "arb-check-records": "arb c5.mg --check c5-good.mg --format records",
+    "arb-check-invalid": "arb c5.mg --check c5-bad.mg",
+    "arb-check-invalid-records": "arb c5.mg --check c5-bad.mg --format records",
+    "arb-check-no-lines": "arb c5.mg --check",
     "hom-p6-qr7": "hom p6.mg qr7.mg",
     "hom-p6-qr7-records": "hom p6.mg qr7.mg --format records",
     "hom-dense-qr7": "hom dense.mg qr7.mg",
     "hom-dense-qr7-records": "hom dense.mg qr7.mg --format records",
     "hom-c5-p6": "hom c5.mg p6.mg --format records",
     "hom-mismatch": "hom mixed.mg qr7.mg",
+    "hom-check": "hom p6.mg qr7.mg --check p6-qr7.map",
+    "hom-check-records": "hom p6.mg qr7.mg --check p6-qr7.map --format records",
+    "hom-check-invalid": "hom p6.mg qr7.mg --check p6-bad.map",
+    "hom-check-invalid-records": "hom p6.mg qr7.mg --check p6-bad.map --format records",
+    "hom-check-missing": "hom p6.mg qr7.mg --check p6-missing.map",
+    "hom-check-out-of-range": "hom p6.mg qr7.mg --check p6-extra.map",
     "greedy-hom-p6": "greedy-hom p6.mg target.mg",
     "greedy-hom-p6-records": "greedy-hom p6.mg target.mg --format records",
     "greedy-hom-dense": "greedy-hom dense.mg target.mg",
@@ -101,7 +124,9 @@ COMMANDS = {
 
 
 def _argv(command: str) -> list[str]:
-    return [str(GOLDEN / w) if w.endswith(".mg") else w for w in command.split()]
+    return [
+        str(GOLDEN / w) if w.endswith((".mg", ".map")) else w for w in command.split()
+    ]
 
 
 def _capture(command: str) -> dict:
@@ -124,6 +149,14 @@ def test_golden_commands_cover_the_subcommands():
         "nr-upper", "planar-upper", "arb-upper", "acyclic-upper-arb",
         "acyclic-upper-chi", "degree", "counting",
     }
+    # every witness audit has a passing (exit 0) and a failing (exit 1) case
+    verdicts = {
+        (command.split()[0], expected[name]["exit"])
+        for name, command in COMMANDS.items()
+        if "--check" in command.split()
+    }
+    for subcommand in ("chi", "arb", "acyclic", "hom"):
+        assert {(subcommand, 0), (subcommand, 1)} <= verdicts
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -133,6 +166,14 @@ def test_golden_output(name):
 
 
 if __name__ == "__main__":
+    old = json.loads(EXPECTED.read_text()) if EXPECTED.exists() else {}
     results = {name: _capture(command) for name, command in sorted(COMMANDS.items())}
+    for name in sorted(old.keys() | results.keys()):
+        if name not in results:
+            print(f"removed {name}", file=sys.stderr)
+        elif name not in old:
+            print(f"added {name}", file=sys.stderr)
+        elif old[name] != results[name]:
+            print(f"changed {name}", file=sys.stderr)
     EXPECTED.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(results)} outputs to {EXPECTED}", file=sys.stderr)

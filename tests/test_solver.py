@@ -176,6 +176,15 @@ def test_find_homomorphism_can_collapse_non_adjacent_vertices():
     assert hom[0] == hom[2] == 0
 
 
+def test_a_component_without_homomorphism_is_refuted_once():
+    # Searched jointly, the directed 5-cycle would be refuted again under
+    # each of the 3^30 assignments of the isolated vertices ahead of it.
+    source = MixedGraph(ColorSignature(1, 0), 35)
+    for i in range(5):
+        source.add_arc(30 + i, 30 + (i + 1) % 5, 1)
+    assert find_homomorphism(source, directed_cycle(3)) is None
+
+
 def test_check_homomorphism_reports_failures():
     g = directed_path(3)
     t = directed_path(2)
