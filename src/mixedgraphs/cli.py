@@ -284,7 +284,7 @@ def _cmd_acyclic(args: argparse.Namespace) -> int:
     doc = _read_document(args.graph)
     out = _Output(args)
     if args.check is not None:
-        coloring = _per_vertex(_sidecar(args, doc, "color"), doc.graph.order, "coloring")
+        coloring = _sidecar(args, doc, "color")
         failure = check_acyclic_coloring(doc.graph, coloring)
         k = len(set(coloring.values()))
         return out.verdict("acyclic coloring", failure, f"{k} colors", k=k)

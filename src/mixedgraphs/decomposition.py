@@ -12,7 +12,7 @@ acyclic palette.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bounds import ceil_log
 from .core import ColorSignature, MixedGraph, degeneracy_ordering, require_rich_signature
@@ -20,7 +20,7 @@ from .solver import (
     BudgetExceededError,
     ChromaticResult,
     Partition,
-    _run_nested,
+    _partition_search,
     chromatic_number,
 )
 
@@ -211,11 +211,15 @@ def check_acyclic_coloring(graph: MixedGraph, coloring: Mapping[int, int]) -> st
 
     A coloring is acyclic when no relation is monochromatic and the
     union of any two color classes induces no underlying cycle.  A
-    coloring missing some vertex is an input error, not a violation.
+    coloring that misses some vertex or names one outside 0..order-1 is
+    an input error, not a violation.
     """
     for v in range(graph.order):
         if v not in coloring:
             raise ValueError(f"coloring misses vertex {v}")
+    if len(coloring) > graph.order:
+        extra = min(v for v in coloring if not 0 <= v < graph.order)
+        raise ValueError(f"coloring names vertex {extra} out of range")
     for u, v, _ in graph.relations():
         if coloring[u] == coloring[v]:
             return f"monochromatic relation on ({u}, {v})"
@@ -234,90 +238,70 @@ def check_acyclic_coloring(graph: MixedGraph, coloring: Mapping[int, int]) -> st
 def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> ChromaticResult:
     """Exact acyclic chromatic number of the underlying graph.
 
-    Tries palette sizes in increasing order; for each, backtracks over
-    vertex colors (descending degree order) and rejects any assignment
-    that makes a neighbor monochromatic or closes a bichromatic cycle.
-    Every color assignment attempt costs one node from the budget; when
-    it runs out, the palette size reached is the lower bound and the
-    singleton partition attains n.  Witness blocks are in color order.
-    The backtracking runs on an explicit stack, so its depth is not
-    bounded by the interpreter's recursion limit.
+    The partition branch and bound of ``chromatic_number``, in descending
+    degree order.  A vertex may not join a block holding a neighbor, nor
+    close a cycle in the union of two blocks: a union-find per pair of
+    blocks (union by size, no path compression) holds their forest, and
+    backtracking undoes its links.  The lower bound is 3 when the graph
+    has a cycle, since two colors would make it bichromatic.  Each
+    placement attempt costs one node; when the budget runs out, the best
+    coloring found (singletons if none) is the witness and attains upper.
+    Witness blocks are in color order.
     """
     n = graph.order
-    if n == 0:
-        return ChromaticResult(0, 0, Partition(()), 0, False)
-    lower = 2 if graph.e_count > 0 else 1
+    cyclic = _induced_cycle(set(range(n)), graph) is not None
+    lower = 3 if cyclic else 2 if graph.e_count > 0 else 1
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    adj = [graph.neighbors(v) for v in range(n)]
-    colors: dict[int, int] = {}
-    nodes = 0
+    adj = [list(graph.neighbors(v)) for v in range(n)]
+    block_of = [-1] * n
+    # Vertex x of the forest of blocks a < b is the key (a * n + b) * n + x.
+    up: dict[int, int] = {}
+    size: dict[int, int] = {}
 
-    def closes_bichromatic_cycle(v: int, c: int) -> bool:
-        neighbor_colors: dict[int, list[int]] = {}
+    def root(key: int) -> int:
+        while key in up:
+            key = up[key]
+        return key
+
+    def try_place(v: int, b: int) -> list[tuple[int, int]] | None:
+        links: list[tuple[int, int]] = []
         for w in adj[v]:
-            if w in colors:
-                neighbor_colors.setdefault(colors[w], []).append(w)
-        for d, anchors in neighbor_colors.items():
-            if len(anchors) < 2:
+            c = block_of[w]
+            if c < 0:
                 continue
-            # two anchors already linked inside the {c, d} classes close a cycle at v
-            pool = {
-                w for w in range(n) if w != v and w in colors and colors[w] in (c, d)
-            }
-            comp: dict[int, int] = {}
-            label = 0
-            for start in sorted(pool):
-                if start in comp:
-                    continue
-                stack = [start]
-                comp[start] = label
-                while stack:
-                    x = stack.pop()
-                    for y in adj[x]:
-                        if y in pool and y not in comp:
-                            comp[y] = label
-                            stack.append(y)
-                label += 1
-            seen: set[int] = set()
-            for w in anchors:
-                if comp[w] in seen:
-                    return True
-                seen.add(comp[w])
-        return False
+            if c == b:
+                break
+            pair = (b * n + c if b < c else c * n + b) * n
+            rv, rw = root(pair + v), root(pair + w)
+            if rv == rw:
+                break
+            if size.get(rv, 1) > size.get(rw, 1):
+                rv, rw = rw, rv
+            up[rv] = rw
+            size[rw] = size.get(rw, 1) + size.get(rv, 1)
+            links.append((rv, rw))
+        else:
+            block_of[v] = b
+            return links
+        unplace(v, links)
+        return None
 
-    found = out_of_budget = False
+    def unplace(v: int, links: list[tuple[int, int]]) -> None:
+        block_of[v] = -1
+        for child, top in reversed(links):
+            del up[child]
+            size[top] -= size.get(child, 1)
 
-    def search(idx: int, k: int, used: int) -> Generator:
-        nonlocal nodes, found, out_of_budget
-        if idx == n:
-            found = True
-            return
-        v = order[idx]
-        forbidden = {colors[w] for w in adj[v] if w in colors}
-        for c in range(min(used + 1, k)):
-            nodes += 1
-            if nodes > budget:
-                out_of_budget = True
-                return
-            if c in forbidden or closes_bichromatic_cycle(v, c):
-                continue
-            colors[v] = c
-            yield search(idx + 1, k, max(used, c + 1))
-            if found or out_of_budget:
-                return
-            del colors[v]
-
-    for k in range(lower, n + 1):
-        colors.clear()
-        _run_nested(search(0, k, 0))
-        if out_of_budget:
-            singletons = Partition(tuple((v,) for v in range(n)))
-            return ChromaticResult(k, n, singletons, nodes, True)
-        if found:
-            audit = check_acyclic_coloring(graph, colors)
-            assert audit is None, f"search produced a bad coloring: {audit}"
-            return ChromaticResult(k, k, Partition.from_coloring(colors), nodes, False)
-    raise AssertionError("distinct colors always succeed")  # pragma: no cover
+    best, nodes, out_of_budget = _partition_search(order, try_place, unplace, lower, n, budget)
+    if best is not None:
+        witness = Partition(tuple(tuple(sorted(block)) for block in best))
+        audit = check_acyclic_coloring(graph, witness.block_of())
+        assert audit is None, f"search produced a bad coloring: {audit}"
+    else:
+        witness = Partition(tuple((v,) for v in range(n)))
+    return ChromaticResult(
+        lower if out_of_budget else witness.k, witness.k, witness, nodes, out_of_budget
+    )
 
 
 def digit_graphs(

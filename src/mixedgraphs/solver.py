@@ -12,7 +12,7 @@ vertices are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Sequence
+from typing import Callable, Generator, Sequence
 
 from .core import MixedGraph, RelationKind, special_pairs
 
@@ -325,13 +325,80 @@ def special_clique(graph: MixedGraph) -> set[int]:
     return set(best)
 
 
+def _partition_search(
+    order: Sequence[int],
+    try_place: Callable[[int, int], list | None],
+    unplace: Callable[[int, list], None],
+    lower: int,
+    cap: int,
+    budget: int,
+) -> tuple[tuple[tuple[int, ...], ...] | None, int, bool]:
+    """Branch and bound over partitions with at most ``cap`` blocks.
+
+    Vertices are placed in ``order``, into the existing blocks first and
+    then into a new one.  ``try_place(v, b)`` puts v into block b and
+    returns what ``unplace`` needs to undo it, or None when the caller's
+    constraint forbids it; each attempt costs one node.  Only leaves with
+    fewer blocks than the best so far are reached, so the first optimal
+    leaf is kept; one with ``lower`` blocks ends the search.  Returns the
+    best blocks (if any), the node count and whether the budget ran out.
+    """
+    n = len(order)
+    blocks: list[list[int]] = []
+    bound = cap + 1  # blocks of the best leaf so far, or cap + 1
+    best_blocks: tuple[tuple[int, ...], ...] | None = None
+    nodes = 0
+    out_of_budget = False
+
+    def search(idx: int) -> Generator:
+        nonlocal bound, best_blocks, nodes, out_of_budget
+        if out_of_budget or len(blocks) >= bound:
+            return
+        if idx == n:
+            bound = len(blocks)
+            best_blocks = tuple(tuple(b) for b in blocks)
+            return
+        v = order[idx]
+        for bi in range(len(blocks)):
+            nodes += 1
+            if nodes > budget:
+                out_of_budget = True
+                return
+            added = try_place(v, bi)
+            if added is not None:
+                blocks[bi].append(v)
+                yield search(idx + 1)
+                blocks[bi].pop()
+                unplace(v, added)
+                if out_of_budget or bound == lower or len(blocks) >= bound:
+                    return
+        if len(blocks) + 1 < bound:
+            nodes += 1
+            if nodes > budget:
+                out_of_budget = True
+                return
+            bi = len(blocks)
+            blocks.append([])
+            added = try_place(v, bi)
+            if added is not None:
+                blocks[bi].append(v)
+                yield search(idx + 1)
+                blocks[bi].pop()
+                unplace(v, added)
+            blocks.pop()
+
+    _run_nested(search(0))
+    return best_blocks, nodes, out_of_budget
+
+
 @dataclass(frozen=True)
 class ChromaticResult:
     """Outcome of a chromatic or acyclic chromatic number search.
 
-    When ``exact``, lower == upper is the number sought and
-    ``witness`` is an optimal partition.  Otherwise the budget ran out
-    and only the bounds are certified (witness, if any, attains upper).
+    Both come from one branch and bound over partitions.  When ``exact``,
+    lower == upper is the number sought and ``witness`` is an optimal
+    partition.  Otherwise the budget ran out and only the bounds are
+    certified; ``witness``, if any, is the best partition found.
     """
 
     lower: int
@@ -381,13 +448,7 @@ def chromatic_number(
     ]
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
     block_of = [-1] * n
-    blocks: list[list[int]] = []
     joined: dict[tuple[int, int], RelationKind] = {}
-
-    best_k: int | None = None
-    best_blocks: tuple[tuple[int, ...], ...] | None = None
-    nodes = 0
-    out_of_budget = False
 
     def try_place(v: int, bi: int) -> list[tuple[int, int]] | None:
         added: list[tuple[int, int]] = []
@@ -408,8 +469,7 @@ def chromatic_number(
         else:
             block_of[v] = bi
             return added
-        for key in added:
-            del joined[key]
+        unplace(v, added)
         return None
 
     def unplace(v: int, added: list[tuple[int, int]]) -> None:
@@ -417,65 +477,20 @@ def chromatic_number(
         for key in added:
             del joined[key]
 
-    def search(idx: int) -> Generator:
-        nonlocal best_k, best_blocks, nodes, out_of_budget
-        if out_of_budget:
-            return
-        bound = best_k if best_k is not None else cap + 1
-        if len(blocks) >= bound:
-            return
-        if idx == n:
-            best_k = len(blocks)
-            best_blocks = tuple(tuple(b) for b in blocks)
-            return
-        v = order[idx]
-        for bi in range(len(blocks)):
-            nodes += 1
-            if nodes > budget:
-                out_of_budget = True
-                return
-            added = try_place(v, bi)
-            if added is not None:
-                blocks[bi].append(v)
-                yield search(idx + 1)
-                blocks[bi].pop()
-                unplace(v, added)
-                if out_of_budget or best_k == lower:
-                    return
-                if len(blocks) >= (best_k if best_k is not None else cap + 1):
-                    return
-        if len(blocks) + 1 <= (best_k if best_k is not None else cap + 1) - 1:
-            nodes += 1
-            if nodes > budget:
-                out_of_budget = True
-                return
-            bi = len(blocks)
-            blocks.append([])
-            added = try_place(v, bi)
-            if added is not None:
-                blocks[bi].append(v)
-                yield search(idx + 1)
-                blocks[bi].pop()
-                unplace(v, added)
-            blocks.pop()
-
-    _run_nested(search(0))
-
+    best_blocks, nodes, out_of_budget = _partition_search(
+        order, try_place, unplace, lower, cap, budget
+    )
     if best_blocks is not None:
         witness = Partition(best_blocks)
         audit = check_partition(graph, witness)
         assert audit is None, f"search produced an invalid partition: {audit}"
-    else:
-        witness = None
-
-    if out_of_budget:
-        if witness is None and cap == n:
-            witness = Partition(tuple((v,) for v in range(n)))
-        upper = best_k if best_k is not None else (cap if upper_hint is not None else n)
-        return ChromaticResult(lower, upper, witness, nodes, True)
-
-    if best_k is None:
+    elif not out_of_budget:
         raise ValueError(
             f"no partition within upper_hint={upper_hint}; the hint was not a valid bound"
         )
-    return ChromaticResult(best_k, best_k, witness, nodes, False)
+    else:
+        witness = Partition(tuple((v,) for v in range(n))) if cap == n else None
+    upper = witness.k if witness is not None else cap
+    return ChromaticResult(
+        lower if out_of_budget else upper, upper, witness, nodes, out_of_budget
+    )

@@ -5,18 +5,24 @@ the differential tests require the library's results, step records and
 errors to equal theirs exactly.
 """
 
+from typing import Generator
+
 from mixedgraphs import (
+    ChromaticResult,
     CompleteMixedTarget,
     GreedyEmbedding,
     GreedyStep,
     Homomorphism,
     MixedGraph,
     NeighborhoodQuery,
+    Partition,
     PropertyViolatedError,
+    check_acyclic_coloring,
     check_homomorphism,
     common_neighborhood,
     special_pairs,
 )
+from mixedgraphs.solver import _run_nested
 
 
 def min_scan_degeneracy(graph: MixedGraph) -> tuple[int, list[int]]:
@@ -167,3 +173,92 @@ def set_domain_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorph
     audit = check_homomorphism(source, target, hom.mapping)
     assert audit is None, f"solver produced an invalid homomorphism: {audit}"
     return hom
+
+
+def per_k_acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> ChromaticResult:
+    """Exact acyclic chromatic number of the underlying graph.
+
+    Tries palette sizes in increasing order; for each, backtracks over
+    vertex colors (descending degree order) and rejects any assignment
+    that makes a neighbor monochromatic or closes a bichromatic cycle.
+    Every color assignment attempt costs one node from the budget; when
+    it runs out, the palette size reached is the lower bound and the
+    singleton partition attains n.  Witness blocks are in color order.
+    The backtracking runs on an explicit stack, so its depth is not
+    bounded by the interpreter's recursion limit.
+    """
+    n = graph.order
+    if n == 0:
+        return ChromaticResult(0, 0, Partition(()), 0, False)
+    lower = 2 if graph.e_count > 0 else 1
+    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+    adj = [graph.neighbors(v) for v in range(n)]
+    colors: dict[int, int] = {}
+    nodes = 0
+
+    def closes_bichromatic_cycle(v: int, c: int) -> bool:
+        neighbor_colors: dict[int, list[int]] = {}
+        for w in adj[v]:
+            if w in colors:
+                neighbor_colors.setdefault(colors[w], []).append(w)
+        for d, anchors in neighbor_colors.items():
+            if len(anchors) < 2:
+                continue
+            # two anchors already linked inside the {c, d} classes close a cycle at v
+            pool = {
+                w for w in range(n) if w != v and w in colors and colors[w] in (c, d)
+            }
+            comp: dict[int, int] = {}
+            label = 0
+            for start in sorted(pool):
+                if start in comp:
+                    continue
+                stack = [start]
+                comp[start] = label
+                while stack:
+                    x = stack.pop()
+                    for y in adj[x]:
+                        if y in pool and y not in comp:
+                            comp[y] = label
+                            stack.append(y)
+                label += 1
+            seen: set[int] = set()
+            for w in anchors:
+                if comp[w] in seen:
+                    return True
+                seen.add(comp[w])
+        return False
+
+    found = out_of_budget = False
+
+    def search(idx: int, k: int, used: int) -> Generator:
+        nonlocal nodes, found, out_of_budget
+        if idx == n:
+            found = True
+            return
+        v = order[idx]
+        forbidden = {colors[w] for w in adj[v] if w in colors}
+        for c in range(min(used + 1, k)):
+            nodes += 1
+            if nodes > budget:
+                out_of_budget = True
+                return
+            if c in forbidden or closes_bichromatic_cycle(v, c):
+                continue
+            colors[v] = c
+            yield search(idx + 1, k, max(used, c + 1))
+            if found or out_of_budget:
+                return
+            del colors[v]
+
+    for k in range(lower, n + 1):
+        colors.clear()
+        _run_nested(search(0, k, 0))
+        if out_of_budget:
+            singletons = Partition(tuple((v,) for v in range(n)))
+            return ChromaticResult(k, n, singletons, nodes, True)
+        if found:
+            audit = check_acyclic_coloring(graph, colors)
+            assert audit is None, f"search produced a bad coloring: {audit}"
+            return ChromaticResult(k, k, Partition.from_coloring(colors), nodes, False)
+    raise AssertionError("distinct colors always succeed")  # pragma: no cover

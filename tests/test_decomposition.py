@@ -1,9 +1,10 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from mixedgraphs import (
     BudgetExceededError,
@@ -20,9 +21,20 @@ from mixedgraphs import (
     chromatic_number,
     digit_graphs,
     greedy_forests,
+    loads,
     nash_williams_density,
 )
-from strategies import complete_graph, directed_cycle, directed_path, mixed_graphs, seeded_graph
+from reference import per_k_acyclic_chromatic_number
+from strategies import (
+    SIGNATURES,
+    complete_graph,
+    directed_cycle,
+    directed_path,
+    mixed_graphs,
+    seeded_graph,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _oracle_arboricity(g: MixedGraph) -> int:
@@ -123,6 +135,16 @@ def test_acyclic_checker_accepts_and_rejects():
         check_acyclic_coloring(c4, {0: 1, 1: 2, 2: 3})
 
 
+def test_acyclic_checker_rejects_vertices_out_of_range():
+    c5 = loads((GOLDEN / "c5.mg").read_text()).graph
+    good = {0: 1, 1: 2, 2: 1, 3: 2, 4: 3}
+    assert check_acyclic_coloring(c5, good) is None
+    with pytest.raises(ValueError, match="coloring names vertex 5 out of range"):
+        check_acyclic_coloring(c5, {**good, 5: 1, 6: 1})
+    with pytest.raises(ValueError, match="coloring names vertex -1 out of range"):
+        check_acyclic_coloring(c5, {**good, -1: 2})
+
+
 def test_acyclic_chromatic_known_values():
     assert acyclic_chromatic_number(complete_graph(4)).k == 4
     assert acyclic_chromatic_number(directed_cycle(5)).k == 3
@@ -153,27 +175,74 @@ def test_acyclic_budget_exhaustion():
 def test_acyclic_search_nodes_and_witness_are_pinned():
     a = seeded_graph(ColorSignature(1, 0), 14, 35, 7)
     result = acyclic_chromatic_number(a)
-    assert (result.k, result.nodes) == (5, 700)
+    assert (result.k, result.nodes) == (5, 619)
     assert result.witness == Partition.from_coloring({
         0: 1, 1: 1, 2: 1, 3: 5, 4: 1, 5: 2, 6: 4,
         7: 2, 8: 2, 9: 3, 10: 4, 11: 5, 12: 4, 13: 4,
     })
     cut = acyclic_chromatic_number(a, budget=350)
-    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted, cut.witness) == (
-        5, 14, 351, True, Partition(tuple((v,) for v in range(14)))
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (3, 6, 351, True)
+    assert cut.witness == Partition(
+        ((1, 7), (2, 8, 9), (0, 3, 5), (4, 12), (6, 10, 11), (13,))
     )
 
     b = seeded_graph(ColorSignature(1, 0), 20, 50, 9)
     result = acyclic_chromatic_number(b)
-    assert (result.k, result.nodes) == (5, 5959)
+    assert (result.k, result.nodes) == (5, 5647)
     assert result.witness == Partition.from_coloring({
         0: 2, 1: 1, 2: 1, 3: 2, 4: 4, 5: 2, 6: 3, 7: 4, 8: 3, 9: 4,
         10: 1, 11: 3, 12: 4, 13: 3, 14: 1, 15: 1, 16: 4, 17: 2, 18: 5, 19: 5,
     })
     cut = acyclic_chromatic_number(b, budget=2979)
-    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted, cut.witness) == (
-        4, 20, 2980, True, Partition(tuple((v,) for v in range(20)))
-    )
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (3, 5, 2980, True)
+    assert cut.witness == result.witness
+
+
+# --- the partition branch and bound against the per-palette reference -------------
+
+
+def _assert_acyclic_matches_reference(g: MixedGraph, budget: int | None = None) -> None:
+    """Equal k and witness when both finish; on a cut, bounds that bracket
+    the reference's k and a witness that attains the upper bound."""
+    expected = per_k_acyclic_chromatic_number(g)
+    assert expected.exact
+    if budget is None:
+        result = acyclic_chromatic_number(g)
+        assert (result.k, result.witness) == (expected.k, expected.witness)
+        return
+    cut = acyclic_chromatic_number(g, budget=budget)
+    assert cut.exhausted and cut.nodes == budget + 1
+    assert cut.lower <= expected.k <= cut.upper
+    assert cut.witness.k == cut.upper
+    assert check_acyclic_coloring(g, cut.witness.block_of()) is None
+
+
+@given(mixed_graphs(max_order=8), st.one_of(st.none(), st.integers(1, 40)))
+@settings(max_examples=150, deadline=None)
+def test_acyclic_search_matches_reference(g, budget):
+    if budget is not None and acyclic_chromatic_number(g).nodes <= budget:
+        budget = None
+    _assert_acyclic_matches_reference(g, budget)
+
+
+def test_acyclic_search_matches_reference_on_seeded_graphs():
+    rng = random.Random(6060)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        m = rng.randint(0, min(n * (n - 1) // 2, 3 * n))
+        g = seeded_graph(rng.choice(SIGNATURES), n, m, rng.randrange(2**32))
+        _assert_acyclic_matches_reference(g)
+    cuts = 0
+    for _ in range(60):
+        n = rng.randint(16, 40)
+        m = rng.randint(n, 3 * n // 2)
+        g = seeded_graph(rng.choice(SIGNATURES), n, m, rng.randrange(2**32))
+        _assert_acyclic_matches_reference(g)
+        nodes = acyclic_chromatic_number(g).nodes
+        if nodes > 1:
+            _assert_acyclic_matches_reference(g, rng.randrange(1, nodes))
+            cuts += 1
+    assert cuts >= 50
 
 
 def test_acyclic_at_most_chromatic_on_small_graphs():
