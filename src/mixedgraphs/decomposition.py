@@ -235,22 +235,48 @@ def check_acyclic_coloring(graph: MixedGraph, coloring: Mapping[int, int]) -> st
     return None
 
 
+def _forest_count_bound(graph: MixedGraph) -> int:
+    """A lower bound on the acyclic chromatic number from edge counts.
+
+    Any two classes of an acyclic coloring induce a forest, so a subgraph
+    with s vertices and e edges colored with k <= s colors has
+    e <= sum over pairs of (s_i + s_j - 1) = (k - 1) s - k (k - 1) / 2,
+    which grows with k up to s.  The subgraphs tried are the prefixes of
+    the degeneracy order, the cores left as minimum-degree vertices are
+    peeled off; each prefix adds one vertex and its earlier neighbours,
+    so the pass after the order is linear.
+    """
+    order = degeneracy_ordering(graph)[1]
+    pos = [0] * graph.order
+    for i, v in enumerate(order):
+        pos[v] = i
+    k = e = 0
+    for i, v in enumerate(order):
+        s = i + 1
+        e += sum(1 for w in graph.neighbors(v) if pos[w] < i)
+        while k < s and (k - 1) * s - k * (k - 1) // 2 < e:
+            k += 1
+    return k
+
+
 def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> ChromaticResult:
     """Exact acyclic chromatic number of the underlying graph.
 
-    The partition branch and bound of ``chromatic_number``, in descending
-    degree order.  A vertex may not join a block holding a neighbor, nor
-    close a cycle in the union of two blocks: a union-find per pair of
-    blocks (union by size, no path compression) holds their forest, and
-    backtracking undoes its links.  The lower bound is 3 when the graph
-    has a cycle, since two colors would make it bichromatic.  Each
+    The partition branch and bound of ``chromatic_number``, in a static
+    descending degree order.  A vertex may not join a block holding a
+    neighbor, nor close a cycle in the union of two blocks: a union-find
+    per pair of blocks (union by size, no path compression) holds their
+    forest, and backtracking undoes its links.  The lower bound is 3 when the graph
+    has a cycle, since two colors would make it bichromatic, or the
+    forest-count bound of ``_forest_count_bound`` when higher.  Each
     placement attempt costs one node; when the budget runs out, the best
     coloring found (singletons if none) is the witness and attains upper.
     Witness blocks are in color order.
     """
     n = graph.order
     cyclic = _induced_cycle(set(range(n)), graph) is not None
-    lower = 3 if cyclic else 2 if graph.e_count > 0 else 1
+    static = 3 if cyclic else 2 if graph.e_count > 0 else 1
+    lower = max(static, _forest_count_bound(graph))
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
     adj = [list(graph.neighbors(v)) for v in range(n)]
     block_of = [-1] * n
@@ -292,7 +318,9 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
             del up[child]
             size[top] -= size.get(child, 1)
 
-    best, nodes, out_of_budget = _partition_search(order, try_place, unplace, lower, n, budget)
+    best, nodes, out_of_budget = _partition_search(
+        n, order.__getitem__, try_place, unplace, lower, n, budget
+    )
     if best is not None:
         witness = Partition(tuple(tuple(sorted(block)) for block in best))
         audit = check_acyclic_coloring(graph, witness.block_of())

@@ -303,17 +303,26 @@ def special_clique(graph: MixedGraph) -> set[int]:
     pick special-pair neighbors of its seed, so it walks those alone,
     in degree order: O(sum of deg log deg) over all seeds.
     """
-    pairs = special_pairs(graph)
-    adj: dict[int, set[int]] = {v: set() for v in range(graph.order)}
-    for u, w in pairs:
-        adj[u].add(w)
-        adj[w].add(u)
-    by_degree = sorted(range(graph.order), key=lambda v: (-len(adj[v]), v))
-    rank = [0] * graph.order
+    return _greedy_clique(_partner_sets(graph))
+
+
+def _partner_sets(graph: MixedGraph) -> list[set[int]]:
+    """For each vertex, the vertices joined to it by a special 2-path."""
+    partners: list[set[int]] = [set() for _ in range(graph.order)]
+    for u, w in special_pairs(graph):
+        partners[u].add(w)
+        partners[w].add(u)
+    return partners
+
+
+def _greedy_clique(adj: list[set[int]]) -> set[int]:
+    """The largest of the greedy cliques of ``special_clique``, one per seed."""
+    by_degree = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
+    rank = [0] * len(adj)
     for i, v in enumerate(by_degree):
         rank[v] = i
     best: list[int] = []
-    for seed in range(graph.order):
+    for seed in range(len(adj)):
         chosen = [seed]
         allowed = set(adj[seed])
         for v in sorted(adj[seed], key=rank.__getitem__):
@@ -326,24 +335,27 @@ def special_clique(graph: MixedGraph) -> set[int]:
 
 
 def _partition_search(
-    order: Sequence[int],
-    try_place: Callable[[int, int], list | None],
-    unplace: Callable[[int, list], None],
+    n: int,
+    pick: Callable[[int], int],
+    try_place: Callable[[int, int], object | None],
+    unplace: Callable[[int, object], None],
     lower: int,
     cap: int,
     budget: int,
 ) -> tuple[tuple[tuple[int, ...], ...] | None, int, bool]:
-    """Branch and bound over partitions with at most ``cap`` blocks.
+    """Branch and bound over partitions of n vertices into at most ``cap`` blocks.
 
-    Vertices are placed in ``order``, into the existing blocks first and
-    then into a new one.  ``try_place(v, b)`` puts v into block b and
-    returns what ``unplace`` needs to undo it, or None when the caller's
-    constraint forbids it; each attempt costs one node.  Only leaves with
-    fewer blocks than the best so far are reached, so the first optimal
-    leaf is kept; one with ``lower`` blocks ends the search.  Returns the
-    best blocks (if any), the node count and whether the budget ran out.
+    At depth idx, ``pick(idx)`` names an unplaced vertex; it is placed
+    into the existing blocks first and then into a new one.  ``pick``
+    may read the caller's own state, which ``try_place`` and ``unplace``
+    keep, so the choice can follow the search.  ``try_place(v, b)`` puts
+    v into block b and returns what ``unplace`` needs to undo it, or None
+    when the caller's constraint forbids it.  Each block considered
+    costs one node, a rejected one too.  Only leaves with fewer blocks
+    than the best so far are reached, so the first optimal leaf is kept;
+    one with ``lower`` blocks ends the search.  Returns the best blocks
+    (if any), the node count and whether the budget ran out.
     """
-    n = len(order)
     blocks: list[list[int]] = []
     bound = cap + 1  # blocks of the best leaf so far, or cap + 1
     best_blocks: tuple[tuple[int, ...], ...] | None = None
@@ -358,7 +370,7 @@ def _partition_search(
             bound = len(blocks)
             best_blocks = tuple(tuple(b) for b in blocks)
             return
-        v = order[idx]
+        v = pick(idx)
         for bi in range(len(blocks)):
             nodes += 1
             if nodes > budget:
@@ -424,19 +436,30 @@ def chromatic_number(
     upper_hint: int | None = None,
     budget: int = 10_000_000,
 ) -> ChromaticResult:
-    """Exact chromatic number by branch and bound over partitions.
+    """Exact chromatic number by DSATUR branch and bound over partitions.
 
-    Vertices are placed in descending underlying-degree order (ties by
-    index), existing blocks before a new one.  ``lower_hint`` and
-    ``upper_hint`` must be certified bounds when given; the upper hint
-    prunes, the lower hint allows early termination.  Each placement
-    attempt costs one node; when the budget runs out the best bounds so
-    far are returned with ``exhausted`` set.
+    Two vertices that are adjacent or joined by a special 2-path never
+    share a block, so each unplaced vertex keeps a bitmask of the blocks
+    it must avoid (Brélaz's saturation, with special-pair partners as
+    must-differ constraints), updated and undone for the placed vertex's
+    neighbours and partners only.  The vertices of ``special_clique`` are
+    placed first, each into a new block.  After them the next vertex is
+    the unplaced one with the most forbidden blocks, then the highest
+    underlying degree, then the lowest index; only vertices with some
+    forbidden block are scanned, and when there are none the next
+    unplaced vertex of the static degree order is taken.  Blocks are
+    tried existing ones first, so the first leaf is the greedy DSATUR
+    coloring.  ``lower_hint`` and ``upper_hint`` must be certified bounds
+    when given; the upper hint prunes, the lower hint allows early
+    termination.  Each block considered for a vertex costs one node, a
+    forbidden one too; when the budget runs out the best bounds and
+    partition so far are returned with ``exhausted`` set.
     """
     n = graph.order
     if n == 0:
         return ChromaticResult(0, 0, Partition(()), 0, False)
-    clique = special_clique(graph)
+    partners = _partner_sets(graph)
+    clique = _greedy_clique(partners)
     lower = max(lower_hint, len(clique), 2 if graph.e_count > 0 else 1)
     cap = n if upper_hint is None else min(upper_hint, n)
     if lower > cap:
@@ -446,18 +469,47 @@ def chromatic_number(
         [(w, rel, rel.dual()) for w, rel in graph.neighbors(v).items()]
         for v in range(n)
     ]
+    apart = [list(partners[v].union(graph.neighbors(v))) for v in range(n)]
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    seeds = [v for v in order if v in clique]
     block_of = [-1] * n
     joined: dict[tuple[int, int], RelationKind] = {}
+    forbid = [0] * n
+    # An unplaced vertex with f forbidden blocks and degree d has the key
+    # base - f * step, so the least key has the most forbidden blocks,
+    # then the highest degree, then the lowest index, and key % n is the
+    # vertex.  ``narrowed`` holds the keys of those with f > 0.
+    width = max(map(len, adj)) + 1
+    step = width * n
+    base = [((n + 1) * width - len(adj[v])) * n + v for v in range(n)]
+    narrowed: dict[int, int] = {}
+    # ahead[idx]: every vertex before this position of ``order`` is placed
+    # throughout the subtree of the current node at depth idx.
+    ahead = [0] * (n + 1)
 
-    def try_place(v: int, bi: int) -> list[tuple[int, int]] | None:
+    def pick(idx: int) -> int:
+        if idx < len(seeds):
+            return seeds[idx]
+        if narrowed:
+            ahead[idx + 1] = ahead[idx]
+            return min(narrowed.values()) % n
+        i = ahead[idx]
+        while block_of[order[i]] >= 0:
+            i += 1
+        ahead[idx + 1] = i + 1
+        return order[i]
+
+    def try_place(
+        v: int, bi: int
+    ) -> tuple[list[tuple[int, int]], list[int]] | None:
+        if forbid[v] >> bi & 1:
+            return None
         added: list[tuple[int, int]] = []
         for w, rel, dual in adj[v]:
             bj = block_of[w]
             if bj < 0:
                 continue
-            if bj == bi:
-                break
+            # bj != bi: a placed neighbour's block is in forbid[v]
             key = (bi, bj) if bi < bj else (bj, bi)
             need = rel if bi < bj else dual
             have = joined.get(key)
@@ -465,20 +517,42 @@ def chromatic_number(
                 joined[key] = need
                 added.append(key)
             elif have != need:
-                break
-        else:
-            block_of[v] = bi
-            return added
-        unplace(v, added)
-        return None
+                for key in added:
+                    del joined[key]
+                return None
+        block_of[v] = bi
+        narrowed.pop(v, None)
+        bit = 1 << bi
+        flipped: list[int] = []
+        for w in apart[v]:
+            if block_of[w] < 0:
+                old = forbid[w]
+                if not old & bit:
+                    forbid[w] = old | bit
+                    narrowed[w] = narrowed[w] - step if old else base[w] - step
+                    flipped.append(w)
+        return added, flipped
 
-    def unplace(v: int, added: list[tuple[int, int]]) -> None:
+    def unplace(
+        v: int, undo: tuple[list[tuple[int, int]], list[int]]
+    ) -> None:
+        added, flipped = undo
+        bit = 1 << block_of[v]
         block_of[v] = -1
         for key in added:
             del joined[key]
+        for w in flipped:
+            old = forbid[w] ^ bit
+            forbid[w] = old
+            if old:
+                narrowed[w] += step
+            else:
+                del narrowed[w]
+        if forbid[v]:
+            narrowed[v] = base[v] - forbid[v].bit_count() * step
 
     best_blocks, nodes, out_of_budget = _partition_search(
-        order, try_place, unplace, lower, cap, budget
+        n, pick, try_place, unplace, lower, cap, budget
     )
     if best_blocks is not None:
         witness = Partition(best_blocks)

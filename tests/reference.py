@@ -2,10 +2,12 @@
 
 These are the original quadratic algorithms, kept verbatim in behaviour:
 the differential tests require the library's results, step records and
-errors to equal theirs exactly.
+errors to equal theirs exactly.  The fixed-order chromatic search is the
+exception: it explores partitions in another order, so only the numbers
+it certifies must agree with the library's.
 """
 
-from typing import Generator
+from typing import Callable, Generator, Sequence
 
 from mixedgraphs import (
     ChromaticResult,
@@ -17,9 +19,12 @@ from mixedgraphs import (
     NeighborhoodQuery,
     Partition,
     PropertyViolatedError,
+    RelationKind,
     check_acyclic_coloring,
     check_homomorphism,
+    check_partition,
     common_neighborhood,
+    special_clique,
     special_pairs,
 )
 from mixedgraphs.solver import _run_nested
@@ -262,3 +267,151 @@ def per_k_acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -
             assert audit is None, f"search produced a bad coloring: {audit}"
             return ChromaticResult(k, k, Partition.from_coloring(colors), nodes, False)
     raise AssertionError("distinct colors always succeed")  # pragma: no cover
+
+
+def _fixed_order_partition_search(
+    order: Sequence[int],
+    try_place: Callable[[int, int], list | None],
+    unplace: Callable[[int, list], None],
+    lower: int,
+    cap: int,
+    budget: int,
+) -> tuple[tuple[tuple[int, ...], ...] | None, int, bool]:
+    """Branch and bound over partitions with at most ``cap`` blocks.
+
+    The partition engine as it was before it took a vertex-choice hook,
+    kept with its caller below so the oracle shares no search code with
+    the library.  Vertices are placed in ``order``, into the existing
+    blocks first and then into a new one.  ``try_place(v, b)`` puts v
+    into block b and returns what ``unplace`` needs to undo it, or None
+    when the caller's constraint forbids it; each attempt costs one
+    node.  Only leaves with fewer blocks than the best so far are
+    reached, so the first optimal leaf is kept; one with ``lower`` blocks
+    ends the search.  Returns the best blocks (if any), the node count
+    and whether the budget ran out.
+    """
+    n = len(order)
+    blocks: list[list[int]] = []
+    bound = cap + 1  # blocks of the best leaf so far, or cap + 1
+    best_blocks: tuple[tuple[int, ...], ...] | None = None
+    nodes = 0
+    out_of_budget = False
+
+    def search(idx: int) -> Generator:
+        nonlocal bound, best_blocks, nodes, out_of_budget
+        if out_of_budget or len(blocks) >= bound:
+            return
+        if idx == n:
+            bound = len(blocks)
+            best_blocks = tuple(tuple(b) for b in blocks)
+            return
+        v = order[idx]
+        for bi in range(len(blocks)):
+            nodes += 1
+            if nodes > budget:
+                out_of_budget = True
+                return
+            added = try_place(v, bi)
+            if added is not None:
+                blocks[bi].append(v)
+                yield search(idx + 1)
+                blocks[bi].pop()
+                unplace(v, added)
+                if out_of_budget or bound == lower or len(blocks) >= bound:
+                    return
+        if len(blocks) + 1 < bound:
+            nodes += 1
+            if nodes > budget:
+                out_of_budget = True
+                return
+            bi = len(blocks)
+            blocks.append([])
+            added = try_place(v, bi)
+            if added is not None:
+                blocks[bi].append(v)
+                yield search(idx + 1)
+                blocks[bi].pop()
+                unplace(v, added)
+            blocks.pop()
+
+    _run_nested(search(0))
+    return best_blocks, nodes, out_of_budget
+
+
+def fixed_order_chromatic_number(
+    graph: MixedGraph,
+    lower_hint: int = 0,
+    upper_hint: int | None = None,
+    budget: int = 10_000_000,
+) -> ChromaticResult:
+    """Exact chromatic number by branch and bound over partitions.
+
+    The library's search before it chose vertices by forbidden blocks.
+    Vertices are placed in descending underlying-degree order (ties by
+    index), existing blocks before a new one.  ``lower_hint`` and
+    ``upper_hint`` must be certified bounds when given; the upper hint
+    prunes, the lower hint allows early termination.  Each placement
+    attempt costs one node; when the budget runs out the best bounds so
+    far are returned with ``exhausted`` set.
+    """
+    n = graph.order
+    if n == 0:
+        return ChromaticResult(0, 0, Partition(()), 0, False)
+    clique = special_clique(graph)
+    lower = max(lower_hint, len(clique), 2 if graph.e_count > 0 else 1)
+    cap = n if upper_hint is None else min(upper_hint, n)
+    if lower > cap:
+        raise ValueError(f"hints conflict: lower {lower} exceeds upper {cap}")
+
+    adj = [
+        [(w, rel, rel.dual()) for w, rel in graph.neighbors(v).items()]
+        for v in range(n)
+    ]
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    block_of = [-1] * n
+    joined: dict[tuple[int, int], RelationKind] = {}
+
+    def try_place(v: int, bi: int) -> list[tuple[int, int]] | None:
+        added: list[tuple[int, int]] = []
+        for w, rel, dual in adj[v]:
+            bj = block_of[w]
+            if bj < 0:
+                continue
+            if bj == bi:
+                break
+            key = (bi, bj) if bi < bj else (bj, bi)
+            need = rel if bi < bj else dual
+            have = joined.get(key)
+            if have is None:
+                joined[key] = need
+                added.append(key)
+            elif have != need:
+                break
+        else:
+            block_of[v] = bi
+            return added
+        unplace(v, added)
+        return None
+
+    def unplace(v: int, added: list[tuple[int, int]]) -> None:
+        block_of[v] = -1
+        for key in added:
+            del joined[key]
+
+    best_blocks, nodes, out_of_budget = _fixed_order_partition_search(
+        order, try_place, unplace, lower, cap, budget
+    )
+    if best_blocks is not None:
+        witness = Partition(best_blocks)
+        audit = check_partition(graph, witness)
+        assert audit is None, f"search produced an invalid partition: {audit}"
+    elif not out_of_budget:
+        raise ValueError(
+            f"no partition within upper_hint={upper_hint}; the hint was not a valid bound"
+        )
+    else:
+        witness = Partition(tuple((v,) for v in range(n))) if cap == n else None
+    upper = witness.k if witness is not None else cap
+    return ChromaticResult(
+        lower if out_of_budget else upper, upper, witness, nodes, out_of_budget
+    )

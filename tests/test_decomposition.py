@@ -24,6 +24,7 @@ from mixedgraphs import (
     loads,
     nash_williams_density,
 )
+from mixedgraphs.decomposition import _forest_count_bound
 from reference import per_k_acyclic_chromatic_number
 from strategies import (
     SIGNATURES,
@@ -181,7 +182,7 @@ def test_acyclic_search_nodes_and_witness_are_pinned():
         7: 2, 8: 2, 9: 3, 10: 4, 11: 5, 12: 4, 13: 4,
     })
     cut = acyclic_chromatic_number(a, budget=350)
-    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (3, 6, 351, True)
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (4, 6, 351, True)
     assert cut.witness == Partition(
         ((1, 7), (2, 8, 9), (0, 3, 5), (4, 12), (6, 10, 11), (13,))
     )
@@ -194,8 +195,33 @@ def test_acyclic_search_nodes_and_witness_are_pinned():
         10: 1, 11: 3, 12: 4, 13: 3, 14: 1, 15: 1, 16: 4, 17: 2, 18: 5, 19: 5,
     })
     cut = acyclic_chromatic_number(b, budget=2979)
-    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (3, 5, 2980, True)
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (4, 5, 2980, True)
     assert cut.witness == result.witness
+
+
+def test_forest_count_bound_values():
+    # an exhausted search certifies 4 here where the static bound gave 3;
+    # the true value is 5 (pinned above)
+    assert _forest_count_bound(seeded_graph(ColorSignature(1, 0), 14, 35, 7)) == 4
+    for n in range(8):
+        assert _forest_count_bound(complete_graph(n)) == n
+    assert _forest_count_bound(directed_cycle(6)) == 3
+    assert _forest_count_bound(directed_path(6)) == 2
+    assert _forest_count_bound(MixedGraph(ColorSignature(1, 0), 4)) == 1
+    # K4 plus a pendant path: the bound comes from the core, not the whole
+    # graph, whose 9 edges on 7 vertices allow 3 colors
+    g = MixedGraph(ColorSignature(0, 1), 7)
+    for u, v in itertools.combinations(range(4), 2):
+        g.add_edge(u, v, 1)
+    for u in range(3, 6):
+        g.add_edge(u, u + 1, 1)
+    assert _forest_count_bound(g) == 4
+
+
+@given(mixed_graphs(max_order=8))
+@settings(max_examples=150, deadline=None)
+def test_forest_count_bound_never_exceeds_the_acyclic_number(g):
+    assert _forest_count_bound(g) <= acyclic_chromatic_number(g).k
 
 
 # --- the partition branch and bound against the per-palette reference -------------

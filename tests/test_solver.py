@@ -8,6 +8,7 @@ from mixedgraphs import (
     ColorSignature,
     MixedGraph,
     Partition,
+    build_hk,
     check_homomorphism,
     check_partition,
     chromatic_number,
@@ -24,10 +25,15 @@ from strategies import (
     directed_path,
     mixed_graphs,
     seeded_graph,
+    sparse_graph,
     sparse_graphs,
     transitive_tournament,
 )
-from reference import quadratic_special_clique, set_domain_homomorphism
+from reference import (
+    fixed_order_chromatic_number,
+    quadratic_special_clique,
+    set_domain_homomorphism,
+)
 
 
 def _partitions(n: int):
@@ -216,22 +222,60 @@ def test_every_graph_maps_into_its_own_quotient(g):
 def test_chromatic_search_nodes_and_witness_are_pinned():
     a = seeded_graph(ColorSignature(1, 1), 14, 20, 7)
     result = chromatic_number(a)
-    assert (result.k, result.nodes) == (6, 65)
+    assert (result.k, result.nodes) == (6, 39)
     assert result.witness.blocks == (
-        (9, 8, 4, 7, 12), (1,), (3, 2), (6, 10), (0, 11), (5, 13)
+        (9, 8, 4, 7, 12), (3, 2), (10, 6), (0, 11), (5, 13), (1,)
     )
-    cut = chromatic_number(a, budget=50)
-    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (5, 6, 51, True)
-    assert cut.witness == result.witness
+    # The first DSATUR leaf is optimal here, at the last node: one fewer
+    # and no partition is found, so the witness is the singletons.
+    cut = chromatic_number(a, budget=38)
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (5, 14, 39, True)
+    assert cut.witness == Partition(tuple((v,) for v in range(14)))
 
     b = seeded_graph(ColorSignature(1, 0), 16, 24, 11)
     result = chromatic_number(b)
-    assert (result.k, result.nodes) == (6, 433)
+    assert (result.k, result.nodes) == (6, 51)
     assert result.witness.blocks == (
-        (9, 12, 11, 4, 15), (0, 5, 2), (1, 8), (6, 14), (10, 7), (13, 3)
+        (9, 12, 11, 4, 15), (5, 0, 2), (8, 1), (13, 3, 7), (6, 14), (10,)
     )
     cut = chromatic_number(b, budget=50)
-    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (4, 16, 51, True)
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (4, 6, 51, True)
+    assert cut.witness == result.witness
+
+
+@pytest.mark.parametrize(
+    "sig, k, order, chi, nodes",
+    [
+        (ColorSignature(1, 0), 3, 66, 12, 252),
+        (ColorSignature(0, 2), 3, 66, 12, 203),
+        (ColorSignature(1, 0), 4, 428, 32, 1906),
+        (ColorSignature(0, 2), 4, 428, 32, 1546),
+    ],
+)
+def test_chromatic_number_of_the_tightness_construction(sig, k, order, chi, nodes):
+    # H_k attains the Nesetril-Raspaud bound k * 2^(k-1) for p = 2
+    h = build_hk(sig, k).graph
+    result = chromatic_number(h)
+    assert (h.order, result.exact, result.k, result.nodes) == (order, True, chi, nodes)
+    assert check_partition(h, result.witness) is None
+
+
+def test_chromatic_search_scales_to_isolated_vertices():
+    # 20 000 vertices: a seeded sparse part with 19 400 isolated vertices
+    # interleaved.  Once the sparse components are placed nothing is
+    # narrowed, and each later vertex must come from a forward pointer
+    # into the degree order rather than a scan from its start.
+    n = 20_000
+    rng = random.Random(2020)
+    part = sparse_graph(ColorSignature(1, 1), 600, rng, max_degree=3, back=2)
+    spots = sorted(rng.sample(range(n), part.order))
+    g = MixedGraph(part.signature, n)
+    for u, v, rel in part.relations():
+        g.add_relation(spots[u], spots[v], rel)
+    result = chromatic_number(g, budget=200_000)
+    assert result.witness.k == result.upper
+    assert check_partition(g, result.witness) is None
+    assert result.lower <= chromatic_number(part, budget=200_000).upper <= result.upper
 
 
 def test_homomorphism_search_witnesses_are_pinned():
@@ -314,3 +358,59 @@ def test_find_homomorphism_matches_reference_on_both_outcomes():
         outcomes.append(_assert_hom_matches_reference(source, target))
     assert outcomes.count("found") >= 300
     assert outcomes.count("none") >= 300
+
+
+# --- the DSATUR search against the fixed-order reference ---------------------------
+
+
+DIFFERENTIAL_SIGNATURES = tuple(
+    ColorSignature(m, n) for m, n in ((1, 0), (0, 2), (1, 1), (2, 0))
+)
+
+
+def _assert_chi_matches_reference(g: MixedGraph, budget: int | None, reference_budget: int):
+    """Equal chromatic numbers where both searches finish; on a cut, bounds
+    that bracket the reference's number and a witness with ``upper`` blocks.
+    Returns whether the reference finished and whether the run was cut."""
+    expected = fixed_order_chromatic_number(g, budget=reference_budget)
+    result = chromatic_number(g, budget=budget if budget is not None else reference_budget)
+    assert result.witness.k == result.upper
+    assert check_partition(g, result.witness) is None
+    if not expected.exact:
+        assert max(result.lower, expected.lower) <= min(result.upper, expected.upper)
+        return False, result.exhausted
+    if result.exact:
+        assert result.k == expected.k
+    else:
+        assert result.lower <= expected.k <= result.upper
+    return True, result.exhausted
+
+
+@given(
+    st.one_of(
+        mixed_graphs(max_order=9, signatures=DIFFERENTIAL_SIGNATURES),
+        sparse_graphs(max_order=40, signatures=DIFFERENTIAL_SIGNATURES),
+    ),
+    st.one_of(st.none(), st.integers(1, 60)),
+)
+@settings(max_examples=200, deadline=None)
+def test_chromatic_number_matches_the_fixed_order_reference(g, budget):
+    _assert_chi_matches_reference(g, budget, 20_000)
+
+
+def test_chromatic_number_matches_the_fixed_order_reference_on_seeded_graphs():
+    rng = random.Random(7070)
+    exact = cuts = 0
+    for trial in range(400):
+        sig = DIFFERENTIAL_SIGNATURES[trial % len(DIFFERENTIAL_SIGNATURES)]
+        n = rng.randint(1, 40)
+        m = rng.randint(0, min(n * (n - 1) // 2, 3 * n // 2))
+        g = seeded_graph(sig, n, m, rng.randrange(2**32))
+        finished, _ = _assert_chi_matches_reference(g, None, 20_000)
+        exact += finished
+        nodes = chromatic_number(g).nodes
+        if finished and nodes > 1:
+            _, cut = _assert_chi_matches_reference(g, rng.randrange(1, nodes), 20_000)
+            cuts += cut
+    assert exact >= 300
+    assert cuts >= 50
