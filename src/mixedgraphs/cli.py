@@ -11,6 +11,7 @@ re-verifies later from that file alone via the matching ``--check``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -597,7 +598,16 @@ def _add_check(parser: argparse.ArgumentParser, what: str) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first call and shared afterwards.
+
+    Nothing changes the parser once it is built, and ``parse_args``
+    returns a fresh Namespace on every call, so one parser serves any
+    number of ``run`` calls.  A new ``mixedgraphs`` process still builds
+    it once; the saving is for callers that run many commands in one
+    process (scripts, the bench, the golden test).
+    """
     parser = argparse.ArgumentParser(
         prog="mixedgraphs",
         description="exact homomorphisms, chromatic numbers, and bounds "

@@ -157,7 +157,10 @@ class ColorSignature:
         return self.kinds()[index]
 
     def contains(self, rel: RelationKind) -> bool:
-        return rel in self._positions
+        """Whether ``rel`` is a kind of this signature: its color is at
+        most m for an arc, at most n for an edge.  Builds no table, so it
+        costs the same for any m and n."""
+        return rel.color <= (self.n if rel.kind == EDGE else self.m)
 
     def __str__(self) -> str:
         return f"({self.m},{self.n})"
@@ -205,12 +208,22 @@ class MixedGraph:
             raise ValueError(f"pair ({u}, {v}) already has a relation")
 
     def add_relation(self, u: int, v: int, rel: RelationKind) -> None:
-        """Install ``rel`` on the pair {u, v}, viewed from u."""
-        self._check_free_pair(u, v)
-        if not self.signature.contains(rel):
-            raise ValueError(f"{rel} out of range for signature {self.signature}")
-        self._adj[u][v] = rel
-        self._adj[v][u] = rel.dual()
+        """Install ``rel`` on the pair {u, v}, viewed from u.
+
+        Range, loop, duplicate and color checks run inline, as in
+        ``_check_free_pair`` and ``ColorSignature.contains``; those two
+        are called only to raise their errors.  Graph loading runs this
+        once per relation line.
+        """
+        adj = self._adj
+        order = self.order
+        if not (0 <= u < order and 0 <= v < order) or u == v or v in adj[u]:
+            self._check_free_pair(u, v)
+        sig = self.signature
+        if rel.color > (sig.n if rel.kind == EDGE else sig.m):
+            raise ValueError(f"{rel} out of range for signature {sig}")
+        adj[u][v] = rel
+        adj[v][u] = rel._dual
         self._e += 1
 
     def add_arc(self, tail: int, head: int, color: int = 1) -> None:
@@ -275,18 +288,21 @@ class MixedGraph:
         Builders already fail fast; this is the independent audit used
         after parsing or hand assembly.
         """
+        adj = self._adj
+        order = self.order
+        m, n = self.signature.m, self.signature.n
         seen = 0
-        for u in range(self.order):
-            for v in sorted(self._adj[u]):
-                rel = self._adj[u][v]
-                if not 0 <= v < self.order:
+        for u in range(order):
+            row = adj[u]
+            for v in sorted(row):
+                rel = row[v]
+                if not 0 <= v < order:
                     return f"neighbor {v} of vertex {u} out of range"
                 if u == v:
                     return f"loop at vertex {u}"
-                if not self.signature.contains(rel):
+                if rel.color > (n if rel.kind == EDGE else m):
                     return f"color out of range: {rel} on pair ({u}, {v})"
-                back = self._adj[v].get(u)
-                if back is None or back != rel.dual():
+                if adj[v].get(u) is not rel._dual:
                     return f"parallel relations on pair ({u}, {v})"
                 seen += 1
         if seen != 2 * self._e:

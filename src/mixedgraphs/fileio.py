@@ -63,16 +63,21 @@ def _color_kind(
     u: int,
     v: int,
 ) -> RelationKind:
-    """The kind of an ``a``/``e`` line whose color token is not canonical.
+    """The kind of an ``a``/``e`` line whose color token is not yet in
+    ``by_token``, the table of tokens read so far for that word.
 
-    Accepts other spellings of a color of the signature (``01``).  For
-    any other color, raises the FormatError that building the kind and
-    adding it to the graph would raise, checks in the same order, but
-    without making the kind.
+    A color of the signature, in any spelling (``1``, ``01``, ``+1``),
+    is made into its kind and stored under its token, so the table holds
+    only colors the file uses, however large m and n are.  For any other
+    color, raises the FormatError that building the kind and adding it
+    to the graph would raise, checks in the same order, but without
+    making the kind.
     """
     c = _int(token, line_no, "color")
-    if str(c) in by_token:
-        return by_token[str(c)]
+    sig = graph.signature
+    if 1 <= c <= (sig.m if word == "a" else sig.n):
+        rel = by_token[token] = RelationKind(ARC_OUT if word == "a" else EDGE, c)
+        return rel
     try:
         if c < 1:
             raise ValueError(f"color must be >= 1, got {c}")
@@ -80,18 +85,26 @@ def _color_kind(
     except ValueError as exc:
         raise FormatError(line_no, str(exc)) from None
     prefix = "+a" if word == "a" else "e"
-    raise FormatError(line_no, f"{prefix}{c} out of range for signature {graph.signature}")
+    raise FormatError(line_no, f"{prefix}{c} out of range for signature {sig}")
 
 
 def loads(text: str) -> GraphDocument:
-    """Parse graph text, auditing every structural invariant."""
-    doc: GraphDocument | None = None
+    """Parse graph text, auditing every structural invariant.
+
+    A short loop reads the three header lines; the body loop then reads
+    relation and sidecar lines without testing header state.  Relations
+    go through ``MixedGraph.add_relation``, whose errors become
+    FormatErrors naming the line.  Kinds are looked up by color token in
+    tables filled as tokens are first seen (``_color_kind``), so a
+    signature with 10^9 colors costs no more than one with 1.  The
+    finished graph is re-audited by ``MixedGraph.validate``.
+    """
+    lines = enumerate(text.splitlines(), start=1)
     signature: ColorSignature | None = None
-    graph: MixedGraph | None = None
     header_seen = False
     seed: int | None = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in lines:
         if "#" in raw:
             seed_match = _SEED_COMMENT.search(raw)
             if seed_match and seed is None:
@@ -108,9 +121,7 @@ def loads(text: str) -> GraphDocument:
             if len(tokens) != 2 or _int(tokens[1], line_no, "version") != FORMAT_VERSION:
                 raise FormatError(line_no, f"unsupported format version {tokens[1:]}")
             header_seen = True
-            continue
-
-        if signature is None:
+        elif signature is None:
             if word != "signature" or len(tokens) != 3:
                 raise FormatError(line_no, "expected 'signature m n' after the header")
             m = _int(tokens[1], line_no, "m")
@@ -119,33 +130,48 @@ def loads(text: str) -> GraphDocument:
                 signature = ColorSignature(m, n)
             except ValueError as exc:
                 raise FormatError(line_no, str(exc)) from None
-            continue
-
-        if graph is None:
+        else:
             if word != "vertices" or len(tokens) != 2:
                 raise FormatError(line_no, "expected 'vertices N' after the signature")
             order = _int(tokens[1], line_no, "vertex count")
             if order < 0:
                 raise FormatError(line_no, "vertex count must be non-negative")
-            graph = MixedGraph(signature, order)
-            doc = GraphDocument(graph)
-            by_token = {
-                "a": {str(c): RelationKind(ARC_OUT, c) for c in range(1, signature.m + 1)},
-                "e": {str(c): RelationKind(EDGE, c) for c in range(1, signature.n + 1)},
-            }
-            continue
+            break
+    else:
+        last = text.count("\n") + 1
+        raise FormatError(last, "incomplete file: header, signature and vertices required")
 
-        assert doc is not None
-        if word in ("a", "e"):
+    graph = MixedGraph(signature, order)
+    doc = GraphDocument(graph)
+    add_relation = graph.add_relation
+    by_token: dict[str, dict[str, RelationKind]] = {"a": {}, "e": {}}
+    for line_no, raw in lines:
+        if "#" in raw:
+            if seed is None:
+                seed_match = _SEED_COMMENT.search(raw)
+                if seed_match:
+                    seed = int(seed_match.group(1))
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
+            continue
+        word = tokens[0]
+
+        if word == "a" or word == "e":
             if len(tokens) != 4:
                 raise FormatError(line_no, f"expected '{word} u v color'")
-            u = _int(tokens[1], line_no, "vertex")
-            v = _int(tokens[2], line_no, "vertex")
-            rel = by_token[word].get(tokens[3])
-            if rel is None:
-                rel = _color_kind(by_token[word], word, tokens[3], line_no, graph, u, v)
             try:
-                graph.add_relation(u, v, rel)
+                u = int(tokens[1])
+                v = int(tokens[2])
+            except ValueError:
+                u = _int(tokens[1], line_no, "vertex")
+                v = _int(tokens[2], line_no, "vertex")
+            table = by_token[word]
+            rel = table.get(tokens[3])
+            if rel is None:
+                rel = _color_kind(table, word, tokens[3], line_no, graph, u, v)
+            try:
+                add_relation(u, v, rel)
             except ValueError as exc:
                 raise FormatError(line_no, str(exc)) from None
         elif word == "color":
@@ -177,10 +203,7 @@ def loads(text: str) -> GraphDocument:
         else:
             raise FormatError(line_no, f"unknown directive {word!r}")
 
-    if doc is None:
-        last = text.count("\n") + 1
-        raise FormatError(last, "incomplete file: header, signature and vertices required")
-    audit = doc.graph.validate()
+    audit = graph.validate()
     assert audit is None, f"parser produced an invalid graph: {audit}"
     doc.seed = seed
     return doc

@@ -53,11 +53,12 @@ class CompleteMixedTarget:
     @cached_property
     def kind_masks(self) -> tuple[tuple[int, ...], ...]:
         sig = self.graph.signature
+        index = {kind: i for i, kind in enumerate(sig.kinds())}
         rows = []
         for v in range(self.graph.order):
             row = [0] * sig.p
             for w, rel in self.graph.neighbors(v).items():
-                row[sig.kind_index(rel)] |= 1 << w
+                row[index[rel]] |= 1 << w
             rows.append(tuple(row))
         return tuple(rows)
 

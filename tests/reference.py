@@ -1,10 +1,11 @@
 """Slow reference implementations that the fast library paths must match.
 
-These are the original quadratic algorithms, kept verbatim in behaviour:
-the differential tests require the library's results, step records and
-errors to equal theirs exactly.  The fixed-order chromatic search is the
-exception: it explores partitions in another order, so only the numbers
-it certifies must agree with the library's.
+These are the original quadratic algorithms and the original eager
+graph loader, kept verbatim in behaviour: the differential tests require
+the library's results, step records and errors to equal theirs
+exactly.  The fixed-order chromatic search is the exception: it explores
+partitions in another order, so only the numbers it certifies must agree
+with the library's.
 """
 
 from typing import Callable, Generator, Sequence
@@ -26,6 +27,14 @@ from mixedgraphs import (
     common_neighborhood,
     special_clique,
     special_pairs,
+)
+from mixedgraphs.core import ARC_OUT, EDGE, ColorSignature
+from mixedgraphs.fileio import (
+    _SEED_COMMENT,
+    FORMAT_VERSION,
+    FormatError,
+    GraphDocument,
+    _int,
 )
 from mixedgraphs.solver import _run_nested
 
@@ -415,3 +424,136 @@ def fixed_order_chromatic_number(
     return ChromaticResult(
         lower if out_of_budget else upper, upper, witness, nodes, out_of_budget
     )
+
+
+def _color_kind(
+    by_token: dict[str, RelationKind],
+    word: str,
+    token: str,
+    line_no: int,
+    graph: MixedGraph,
+    u: int,
+    v: int,
+) -> RelationKind:
+    """The kind of an ``a``/``e`` line whose color token is not canonical.
+
+    Accepts other spellings of a color of the signature (``01``).  For
+    any other color, raises the FormatError that building the kind and
+    adding it to the graph would raise, checks in the same order, but
+    without making the kind.
+    """
+    c = _int(token, line_no, "color")
+    if str(c) in by_token:
+        return by_token[str(c)]
+    try:
+        if c < 1:
+            raise ValueError(f"color must be >= 1, got {c}")
+        graph._check_free_pair(u, v)
+    except ValueError as exc:
+        raise FormatError(line_no, str(exc)) from None
+    prefix = "+a" if word == "a" else "e"
+    raise FormatError(line_no, f"{prefix}{c} out of range for signature {graph.signature}")
+
+
+def reference_loads(text: str) -> GraphDocument:
+    """``fileio.loads`` as it was with an eager token table: every color
+    of the signature is made into a kind before the first relation line."""
+    doc: GraphDocument | None = None
+    signature: ColorSignature | None = None
+    graph: MixedGraph | None = None
+    header_seen = False
+    seed: int | None = None
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            seed_match = _SEED_COMMENT.search(raw)
+            if seed_match and seed is None:
+                seed = int(seed_match.group(1))
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
+            continue
+        word = tokens[0]
+
+        if not header_seen:
+            if word != "mixedgraph":
+                raise FormatError(line_no, f"expected 'mixedgraph {FORMAT_VERSION}' header")
+            if len(tokens) != 2 or _int(tokens[1], line_no, "version") != FORMAT_VERSION:
+                raise FormatError(line_no, f"unsupported format version {tokens[1:]}")
+            header_seen = True
+            continue
+
+        if signature is None:
+            if word != "signature" or len(tokens) != 3:
+                raise FormatError(line_no, "expected 'signature m n' after the header")
+            m = _int(tokens[1], line_no, "m")
+            n = _int(tokens[2], line_no, "n")
+            try:
+                signature = ColorSignature(m, n)
+            except ValueError as exc:
+                raise FormatError(line_no, str(exc)) from None
+            continue
+
+        if graph is None:
+            if word != "vertices" or len(tokens) != 2:
+                raise FormatError(line_no, "expected 'vertices N' after the signature")
+            order = _int(tokens[1], line_no, "vertex count")
+            if order < 0:
+                raise FormatError(line_no, "vertex count must be non-negative")
+            graph = MixedGraph(signature, order)
+            doc = GraphDocument(graph)
+            by_token = {
+                "a": {str(c): RelationKind(ARC_OUT, c) for c in range(1, signature.m + 1)},
+                "e": {str(c): RelationKind(EDGE, c) for c in range(1, signature.n + 1)},
+            }
+            continue
+
+        assert doc is not None
+        if word in ("a", "e"):
+            if len(tokens) != 4:
+                raise FormatError(line_no, f"expected '{word} u v color'")
+            u = _int(tokens[1], line_no, "vertex")
+            v = _int(tokens[2], line_no, "vertex")
+            rel = by_token[word].get(tokens[3])
+            if rel is None:
+                rel = _color_kind(by_token[word], word, tokens[3], line_no, graph, u, v)
+            try:
+                graph.add_relation(u, v, rel)
+            except ValueError as exc:
+                raise FormatError(line_no, str(exc)) from None
+        elif word == "color":
+            if len(tokens) != 3:
+                raise FormatError(line_no, "expected 'color v c'")
+            v = _int(tokens[1], line_no, "vertex")
+            c = _int(tokens[2], line_no, "color")
+            if not 0 <= v < graph.order:
+                raise FormatError(line_no, f"vertex {v} out of range")
+            if v in doc.coloring:
+                raise FormatError(line_no, f"vertex {v} colored twice")
+            doc.coloring[v] = c
+        elif word == "forest":
+            if len(tokens) != 4:
+                raise FormatError(line_no, "expected 'forest u v i'")
+            u = _int(tokens[1], line_no, "vertex")
+            v = _int(tokens[2], line_no, "vertex")
+            i = _int(tokens[3], line_no, "forest index")
+            if not (0 <= u < graph.order and 0 <= v < graph.order):
+                raise FormatError(line_no, f"pair ({u}, {v}) out of range")
+            key = (u, v) if u < v else (v, u)
+            if u == v or graph.relation_from(u, v) is None:
+                raise FormatError(line_no, f"pair ({u}, {v}) is not an underlying edge")
+            if key in doc.forests:
+                raise FormatError(line_no, f"edge ({u}, {v}) assigned twice")
+            if i < 0:
+                raise FormatError(line_no, "forest index must be non-negative")
+            doc.forests[key] = i
+        else:
+            raise FormatError(line_no, f"unknown directive {word!r}")
+
+    if doc is None:
+        last = text.count("\n") + 1
+        raise FormatError(last, "incomplete file: header, signature and vertices required")
+    audit = doc.graph.validate()
+    assert audit is None, f"parser produced an invalid graph: {audit}"
+    doc.seed = seed
+    return doc

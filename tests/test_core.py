@@ -170,6 +170,43 @@ def test_generated_graphs_validate(g):
     assert g.validate() is None
 
 
+def _valid_graph():
+    """A 3-vertex (1,1) graph with the arc 0 -> 1 and the edge {1, 2}."""
+    g = MixedGraph(ColorSignature(1, 1), 3)
+    g.add_arc(0, 1, 1)
+    g.add_edge(1, 2, 1)
+    assert g.validate() is None
+    return g
+
+
+@pytest.mark.parametrize(
+    "writes,message",
+    [
+        ({(0, 5): edge(1)}, "neighbor 5 of vertex 0 out of range"),
+        ({(2, 2): edge(1)}, "loop at vertex 2"),
+        ({(0, 1): arc_out(2), (1, 0): arc_in(2)}, "color out of range: +a2 on pair (0, 1)"),
+        ({(1, 2): edge(2), (2, 1): edge(2)}, "color out of range: e2 on pair (1, 2)"),
+        ({(1, 0): None}, "parallel relations on pair (0, 1)"),
+        ({(1, 0): arc_out(1)}, "parallel relations on pair (0, 1)"),
+        ({(2, 1): arc_in(1)}, "parallel relations on pair (1, 2)"),
+    ],
+)
+def test_validate_names_each_corrupted_adjacency(writes, message):
+    g = _valid_graph()
+    for (u, v), rel in writes.items():
+        if rel is None:
+            del g._adj[u][v]
+        else:
+            g._adj[u][v] = rel
+    assert g.validate() == message
+
+
+def test_validate_names_a_relation_count_mismatch():
+    g = _valid_graph()
+    g._e += 1
+    assert g.validate() == "relation count mismatch: counted 2, recorded 3"
+
+
 @given(mixed_graphs())
 def test_relations_are_dual_pairs(g):
     for u, v, rel in g.relations():

@@ -1,5 +1,7 @@
+from random import Random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from mixedgraphs import core
 from mixedgraphs import (
@@ -12,7 +14,8 @@ from mixedgraphs import (
     loads,
     loads_mapping,
 )
-from strategies import mixed_graphs, same_graph
+from reference import reference_loads
+from strategies import mixed_graphs, same_graph, sparse_graph
 
 
 HEADER = "mixedgraph 1\nsignature 1 1\nvertices 4\n"
@@ -141,3 +144,113 @@ def test_dumps_orders_relations_and_sidecars():
         "forest 0 2 0",
         "forest 1 2 1",
     ]
+
+
+# --- the loader against the eager reference loader ---------------------------
+
+
+def _outcome(loader, text):
+    """What a loader makes of ``text``: the parsed document, or the text
+    of the FormatError it raises."""
+    try:
+        doc = loader(text)
+    except FormatError as exc:
+        return "error", str(exc)
+    g = doc.graph
+    return (
+        "ok", g.signature, g.order, list(g.relations()), doc.coloring, doc.forests, doc.seed
+    )
+
+
+def _respell(line, spelling):
+    """An ``a``/``e`` line with its color written as ``01`` or ``+1``."""
+    word, u, v, c = line.split()
+    return f"{word} {u} {v} {spelling}{c}"
+
+
+@st.composite
+def graph_texts(draw):
+    """Valid files: dumps of a graph with sidecars, then decorated with
+    blank lines, comments, seed comments and other color spellings."""
+    g = draw(mixed_graphs())
+    coloring = draw(st.dictionaries(st.integers(0, g.order - 1), st.integers(-2, 5)))
+    forests = {
+        pair: draw(st.integers(0, 3)) for pair in g.underlying_edges() if draw(st.booleans())
+    }
+    seed = draw(st.none() | st.integers(-(10**6), 10**6))
+    lines = []
+    for line in dumps(g, coloring=coloring, forests=forests, seed=seed).splitlines():
+        how = draw(st.sampled_from(("keep", "blank", "comment", "seed", "01", "+1")))
+        if how == "blank":
+            lines.append("   ")
+        elif how == "seed":
+            lines.append(f"# seed {draw(st.integers(0, 99))}")
+        elif how == "comment":
+            line += "  # note # more"
+        elif line[0] in "ae":
+            line = _respell(line, "0" if how == "01" else "+")
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n")))
+
+
+@given(graph_texts())
+def test_loader_matches_reference_on_valid_files(text):
+    outcome = _outcome(loads, text)
+    assert outcome[0] == "ok"
+    assert outcome == _outcome(reference_loads, text)
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid file with one line dropped, duplicated, swapped with
+    another, one token replaced, or a token added.  Half the mutations
+    hit a relation or sidecar line."""
+    lines = draw(graph_texts()).splitlines()
+    rng = draw(st.randoms(use_true_random=False))
+    body = [i for i, line in enumerate(lines) if line[:1] in ("a", "e", "c", "f")]
+    i = rng.choice(body) if body and rng.random() < 0.5 else rng.randrange(len(lines))
+    how = rng.choice(("drop", "duplicate", "swap", "token", "token", "token", "extra"))
+    if how == "drop":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    elif how == "swap":
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        tokens = lines[i].split("#")[0].split() or ["#"]
+        if how == "extra":
+            tokens.append(rng.choice(("1", "x")))
+        else:
+            tokens[rng.randrange(len(tokens))] = rng.choice(("x", "-1", "0", "01", "9", "99"))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(mutated_texts())
+def test_loader_matches_reference_on_mutated_files(text):
+    assert _outcome(loads, text) == _outcome(reference_loads, text)
+
+
+def test_sparse_round_trip_at_order_100000():
+    g = sparse_graph(ColorSignature(1, 1), 100_000, Random(5))
+    assert same_graph(loads(dumps(g)).graph, g)
+
+
+@pytest.mark.parametrize("signature,word", [("1000000000 0", "a"), ("0 1000000000", "e")])
+def test_huge_signature_makes_only_the_kinds_it_reads(signature, word):
+    before = len(core._interned)
+    doc = loads(f"mixedgraph 1\nsignature {signature}\nvertices 2\n{word} 0 1 999999937\n")
+    assert doc.graph.e_count == 1
+    assert doc.graph.validate() is None
+    assert len(core._interned) - before <= 2
+
+
+def test_huge_signature_still_rejects_a_color_above_it():
+    text = "mixedgraph 1\nsignature 1000000000 0\nvertices 2\na 0 1 1000000001\n"
+    with pytest.raises(
+        FormatError,
+        match=r"line 4: \+a1000000001 out of range for signature \(1000000000,0\)",
+    ):
+        loads(text)

@@ -11,12 +11,13 @@ which names every entry it adds, removes or changes, and review its diff.
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from mixedgraphs.cli import run
+from mixedgraphs.cli import build_parser, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = GOLDEN / "expected.json"
@@ -163,6 +164,25 @@ def test_golden_commands_cover_the_subcommands():
 def test_golden_output(name):
     expected = json.loads(EXPECTED.read_text())[name]
     assert _capture(COMMANDS[name]) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_parser_keeps_no_state_between_commands(seed):
+    """One process, one parser: every golden command in a shuffled
+    order, then a usage error and a command that leans on defaults
+    right after one that overrode them."""
+    assert build_parser() is build_parser()
+    expected = json.loads(EXPECTED.read_text())
+    names = sorted(COMMANDS)
+    random.Random(seed).shuffle(names)
+    for name in names:
+        assert _capture(COMMANDS[name]) == expected[name], name
+    usage = _capture("chi c5.mg --budget 0")
+    assert usage["exit"] == 2
+    assert usage["stdout"] == ""
+    assert usage["stderr"].startswith("usage: mixedgraphs chi")
+    assert _capture("chi c5.mg --budget 5 --format records")["stdout"].startswith("{")
+    assert _capture("chi c5.mg") == expected["chi-c5"]
 
 
 if __name__ == "__main__":
