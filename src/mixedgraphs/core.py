@@ -143,18 +143,35 @@ class ColorSignature:
 
     @cached_property
     def _positions(self) -> dict[RelationKind, int]:
-        """Each kind of the signature mapped to its canonical position."""
-        return {kind: i for i, kind in enumerate(self.kinds())}
+        """The canonical positions of the kinds looked up so far."""
+        return {}
 
     def kind_index(self, rel: RelationKind) -> int:
-        """The canonical position of ``rel``; ValueError for a foreign kind."""
+        """The canonical position of ``rel``; ValueError for a foreign kind.
+
+        Computed from the kind and color on first use and then kept, so
+        the cost does not grow with m and n."""
         try:
             return self._positions[rel]
         except KeyError:
-            raise ValueError(f"{rel} is not a kind of signature {self}") from None
+            pass
+        if not self.contains(rel):
+            raise ValueError(f"{rel} is not a kind of signature {self}")
+        offset = {ARC_OUT: 0, ARC_IN: self.m, EDGE: 2 * self.m}[rel.kind]
+        self._positions[rel] = index = offset + rel.color - 1
+        return index
 
     def kind_at(self, index: int) -> RelationKind:
-        return self.kinds()[index]
+        """The kind at canonical position ``index``; IndexError outside
+        0..p-1.  Makes only that kind, whatever m and n are."""
+        m = self.m
+        if not 0 <= index < self.p:
+            raise IndexError(f"kind index {index} out of range 0..{self.p - 1}")
+        if index < m:
+            return RelationKind(ARC_OUT, index + 1)
+        if index < 2 * m:
+            return RelationKind(ARC_IN, index - m + 1)
+        return RelationKind(EDGE, index - 2 * m + 1)
 
     def contains(self, rel: RelationKind) -> bool:
         """Whether ``rel`` is a kind of this signature: its color is at

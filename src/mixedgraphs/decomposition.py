@@ -357,8 +357,9 @@ def digit_graphs(
     if sorted(vertex_order) != list(range(graph.order)):
         raise ValueError("vertex_order must be a permutation of the vertices")
     pos = {v: i for i, v in enumerate(vertex_order)}
-    kinds = sig.kinds()
     p = sig.p
+    # every digit is below both p and fd.count, so only those kinds are made
+    kinds = [sig.kind_at(d) for d in range(min(p, fd.count))]
     assign = {
         ((u, v) if u < v else (v, u)): i for (u, v), i in fd.assignment.items()
     }

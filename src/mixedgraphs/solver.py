@@ -108,8 +108,9 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
 
     Candidate sets are int bitmasks over the target's vertices.  An index
     built once per call, ``rows[x][i]`` with bit y set exactly when
-    ``target.relation_from(x, y)`` is the i-th canonical kind, turns each
-    filter into one AND.  Only the unassigned vertices whose candidate
+    ``target.relation_from(x, y)`` is the i-th kind the target uses,
+    turns each filter into one AND; a source kind the target does not
+    use refutes at once.  Only the unassigned vertices whose candidate
     set has shrunk are scanned for the smallest, so a node costs the
     degree of its vertex plus that frontier rather than a pass over the
     whole source.
@@ -124,15 +125,20 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
     if nt == 0:
         return None
 
-    index = source.signature.kind_index
-    rows = [[0] * source.signature.p for _ in range(nt)]
+    # one column per kind the target uses, whatever the signature's size
+    used = dict.fromkeys(rel for x in range(nt) for rel in target.neighbors(x).values())
+    column = {rel: i for i, rel in enumerate(used)}
+    rows = [[0] * len(column) for _ in range(nt)]
     for x in range(nt):
         for y, rel in target.neighbors(x).items():
-            rows[x][index(rel)] |= 1 << y
-    adj = [
-        [(w, index(rel)) for w, rel in source.neighbors(u).items()]
-        for u in range(ns)
-    ]
+            rows[x][column[rel]] |= 1 << y
+    try:
+        adj = [
+            [(w, column[rel]) for w, rel in source.neighbors(u).items()]
+            for u in range(ns)
+        ]
+    except KeyError:
+        return None  # a source relation whose kind the target has nowhere
     full = (1 << nt) - 1
     domains = [full] * ns
     image = [-1] * ns

@@ -123,10 +123,15 @@ class QViolation:
 def check_property_q(target: CompleteMixedTarget, spec: PropertySpec) -> QViolation | None:
     """Audit the adjacency property; None when it holds everywhere.
 
-    Enumerates every tuple of up to spec.t distinct vertices and every
-    kind vector (vertices ascending, kinds canonical, depth first), so
-    the cost is O((order * p) ** t); the first failure found is
-    returned.  Tuples as long as the order are impossible to satisfy,
+    Enumerates every increasing tuple of up to spec.t vertices and every
+    kind vector, depth first with kinds canonical, so depth j costs
+    C(order, j) * p ** j mask ANDs; the first failure found is returned.
+    It is also the first failure of a scan over all ordered tuples of
+    distinct vertices: sorting a failing tuple, kinds carried along,
+    keeps its count and minimum; the sorted tuple, and any failing prefix
+    of it, comes strictly earlier in that scan; so that scan's first
+    failure is increasing, and it meets the increasing tuples in the
+    same order.  Tuples as long as the order are impossible to satisfy,
     so spec.t >= order is an input error.
     """
     g = target.graph
@@ -144,9 +149,7 @@ def check_property_q(target: CompleteMixedTarget, spec: PropertySpec) -> QViolat
         j = len(vertices) + 1
         need = spec.required(j)
         deeper = j < spec.t
-        for v in range(n):
-            if v in vertices:
-                continue
+        for v in range(vertices[-1] + 1 if vertices else 0, n):
             for ki, row in enumerate(masks[v]):
                 narrowed = mask & row
                 count = narrowed.bit_count()

@@ -1,9 +1,9 @@
 """Slow reference implementations that the fast library paths must match.
 
-These are the original quadratic algorithms and the original eager
-graph loader, kept verbatim in behaviour: the differential tests require
-the library's results, step records and errors to equal theirs
-exactly.  The fixed-order chromatic search is the exception: it explores
+These are the original quadratic algorithms, the original eager
+graph loader and the original ordered-tuple property audit, kept
+verbatim in behaviour: the differential tests require the library's
+results, step records and errors to equal theirs exactly.  The fixed-order chromatic search is the exception: it explores
 partitions in another order, so only the numbers it certifies must agree
 with the library's.
 """
@@ -19,7 +19,9 @@ from mixedgraphs import (
     MixedGraph,
     NeighborhoodQuery,
     Partition,
+    PropertySpec,
     PropertyViolatedError,
+    QViolation,
     RelationKind,
     check_acyclic_coloring,
     check_homomorphism,
@@ -102,6 +104,54 @@ def quadratic_greedy(graph: MixedGraph, target: CompleteMixedTarget) -> GreedyEm
     audit = check_homomorphism(graph, tg, hom.mapping)
     assert audit is None, f"greedy pass produced an invalid homomorphism: {audit}"
     return GreedyEmbedding(hom, tuple(order), degeneracy, tuple(steps))
+
+
+def ordered_check_property_q(target: CompleteMixedTarget, spec: PropertySpec) -> QViolation | None:
+    """``check_property_q`` as it scanned every ordered tuple of distinct
+    vertices, so each unordered tuple is audited once per ordering.
+
+    Depth first, vertex indices ascending at each position and kinds
+    canonical; the first failure found is returned.  Tuples as long as
+    the order are impossible to satisfy, so spec.t >= order is an input
+    error.
+    """
+    g = target.graph
+    n = g.order
+    if spec.t >= n and spec.t > 0:
+        raise ValueError(f"tuple length {spec.t} needs order > {spec.t}, got {n}")
+    if n < spec.required(0):
+        return QViolation((), (), n, spec.required(0))
+    kinds = g.signature.kinds()
+    masks = target.kind_masks
+
+    def extend(
+        vertices: tuple[int, ...], indices: tuple[int, ...], mask: int
+    ) -> QViolation | None:
+        j = len(vertices) + 1
+        need = spec.required(j)
+        deeper = j < spec.t
+        for v in range(n):
+            if v in vertices:
+                continue
+            for ki, row in enumerate(masks[v]):
+                narrowed = mask & row
+                count = narrowed.bit_count()
+                if count < need:
+                    return QViolation(
+                        vertices + (v,),
+                        tuple(kinds[i] for i in indices + (ki,)),
+                        count,
+                        need,
+                    )
+                if deeper:
+                    found = extend(vertices + (v,), indices + (ki,), narrowed)
+                    if found is not None:
+                        return found
+        return None
+
+    if spec.t == 0:
+        return None
+    return extend((), (), (1 << n) - 1)
 
 
 def quadratic_special_clique(graph: MixedGraph) -> set[int]:

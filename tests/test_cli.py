@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mixedgraphs import fileio, paley_tournament
+from mixedgraphs import arc_out, core, fileio, paley_tournament
 from mixedgraphs.cli import run
 
 C5 = "mixedgraph 1\nsignature 1 0\nvertices 5\na 0 1 1\na 1 2 1\na 2 3 1\na 3 4 1\na 4 0 1\n"
@@ -206,6 +206,21 @@ def test_deep_searches_keep_the_exit_code_contract(tmp_path, capsys):
     assert run(["acyclic", str(path), "--format", "records"]) == 0
     record = _records(capsys)[0]
     assert record["exact"] and record["k"] == 2
+
+
+def test_huge_signature_hom_and_pipeline_make_only_the_kinds_they_use(tmp_path, capsys):
+    path = tmp_path / "huge.mg"
+    path.write_text(
+        "mixedgraph 1\nsignature 1000000000 0\nvertices 3\n"
+        "a 0 1 1\na 1 2 999999937\n"
+    )
+    arc_out(1)  # the pipeline's layer 0 uses the first canonical kind
+    before = len(core._interned)
+    assert run(["hom", str(path), str(path), "--format", "records"]) == 0
+    assert _records(capsys)[0]["mapping"] == [0, 1, 2]
+    assert run(["acyclic-pipeline", str(path), "--format", "records"]) == 0
+    assert _records(capsys)[0]["palette"] == 3
+    assert len(core._interned) - before <= 2
 
 
 def test_exit_code_usage(tmp_path, capsys):

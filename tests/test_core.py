@@ -23,6 +23,7 @@ from mixedgraphs import (
     require_rich_signature,
     special_pairs,
 )
+from mixedgraphs import core
 from reference import min_scan_degeneracy
 from strategies import SIGNATURES, mixed_graphs, sparse_graphs
 
@@ -89,6 +90,27 @@ def test_signature_kind_order():
     for i, kind in enumerate(kinds):
         assert sig.kind_index(kind) == i
         assert sig.kind_at(i) == kind
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (0, 1), (0, 3), (1, 1), (2, 0), (3, 2)])
+def test_kind_positions_are_arithmetic(m, n):
+    sig = ColorSignature(m, n)
+    for i, kind in enumerate(sig.kinds()):
+        assert sig.kind_at(i) is kind
+        assert sig.kind_index(kind) == i
+        assert sig.kind_index(kind) == i  # second lookup hits the kept table
+    for i in (-1, sig.p):
+        with pytest.raises(IndexError, match="out of range"):
+            sig.kind_at(i)
+
+
+def test_huge_signature_positions_make_only_the_kinds_asked_for():
+    sig = ColorSignature(10**9, 10**9)
+    before = len(core._interned)
+    assert sig.kind_index(arc_in(999_999_937)) == 10**9 + 999_999_936
+    assert sig.kind_at(2 * 10**9 + 4) is edge(5)
+    assert sig.kind_at(10**9 + 999_999_936) is arc_in(999_999_937)
+    assert len(core._interned) - before <= 3
 
 
 def test_signature_rejects_foreign_kinds():

@@ -88,6 +88,10 @@ COMMANDS = {
     "check-q-violated": "check-q target.mg --tuples 2 --min 1,3,2",
     "check-q-violated-records": "check-q target.mg --tuples 2 --min 1,3,2 --format records",
     "check-q-qr7": "check-q qr7.mg --tuples 2 --min 1,3,1 --format records",
+    "check-q-triples-holds": "check-q target.mg --tuples 3 --min 1,4,1,0",
+    "check-q-triples-holds-records": "check-q target.mg --tuples 3 --min 1,4,1,0 --format records",
+    "check-q-triples-violated": "check-q target.mg --tuples 3 --min 1,4,1,1",
+    "check-q-triples-violated-records": "check-q target.mg --tuples 3 --min 1,4,1,1 --format records",
     "search-q": "search-q --sig 1 1 --order 20 --tuples 1 --min 1,2 --attempts 5 --seed 4 -o -",
     "search-q-records": "search-q --sig 1 1 --order 20 --tuples 1 --min 1,2 --attempts 5 --seed 4 --format records",
     "search-q-none": "search-q --sig 1 0 --order 8 --tuples 2 --min 1,3,2 --attempts 3 --seed 1",

@@ -191,6 +191,22 @@ def test_a_component_without_homomorphism_is_refuted_once():
     assert find_homomorphism(source, directed_cycle(3)) is None
 
 
+def test_a_source_kind_the_target_lacks_refutes():
+    # the target uses only arc color 1, the source also needs color 2
+    target = MixedGraph(ColorSignature(2, 0), 4)
+    for u, v in itertools.combinations(range(4), 2):
+        target.add_arc(u, v, 1)
+    source = MixedGraph(ColorSignature(2, 0), 3)
+    source.add_arc(0, 1, 1)
+    source.add_arc(1, 2, 2)
+    assert find_homomorphism(source, target) is None
+    assert set_domain_homomorphism(source, target) is None
+    source = MixedGraph(ColorSignature(2, 0), 3)
+    source.add_arc(0, 1, 1)
+    source.add_arc(1, 2, 1)
+    assert find_homomorphism(source, target) == set_domain_homomorphism(source, target)
+
+
 def test_check_homomorphism_reports_failures():
     g = directed_path(3)
     t = directed_path(2)

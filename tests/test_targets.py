@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 
@@ -10,6 +11,7 @@ from mixedgraphs import (
     MixedGraph,
     PropertySpec,
     PropertyViolatedError,
+    QViolation,
     arc_in,
     arc_out,
     check_homomorphism,
@@ -22,7 +24,7 @@ from mixedgraphs import (
     sample_complete,
     search_q_target,
 )
-from reference import quadratic_greedy
+from reference import ordered_check_property_q, quadratic_greedy
 from strategies import (
     complete_graph,
     directed_cycle,
@@ -131,6 +133,78 @@ def test_property_question_must_fit_the_order():
     target = CompleteMixedTarget(transitive_tournament(3))
     with pytest.raises(ValueError):
         check_property_q(target, PropertySpec(3, (1, 1, 1, 1)))
+
+
+Q_SIGNATURES = tuple(
+    ColorSignature(m, n) for m, n in ((1, 0), (0, 1), (0, 2), (1, 1), (2, 0), (0, 3))
+)
+
+
+def _q_case(sig, order, t, seed, offsets):
+    """A sampled target and a property whose minimums sit near the mean
+    common-neighborhood size (order - j) / p**j, shifted by ``offsets``.
+    The tuple length is lowered until the ordered audit's deepest level
+    has at most 10**5 nodes, unless it already reaches the order."""
+    while 0 < t < order and math.perm(order, t) * sig.p**t > 10**5:
+        t -= 1
+    minimums = tuple(
+        max(0, max(0, order - j) // sig.p**j + offsets[j]) for j in range(t + 1)
+    )
+    return sample_complete(sig, order, seed), PropertySpec(t, minimums)
+
+
+def _q_outcome(audit, target, spec):
+    try:
+        return audit(target, spec)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_q_matches_ordered_audit(target, spec):
+    """The increasing-tuple audit reports what the ordered one reports:
+    the same QViolation, None, or the same error text, which it returns."""
+    fast = _q_outcome(check_property_q, target, spec)
+    assert fast == _q_outcome(ordered_check_property_q, target, spec)
+    if isinstance(fast, QViolation):
+        assert all(a < b for a, b in zip(fast.vertices, fast.vertices[1:]))
+    return fast
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(Q_SIGNATURES),
+    st.integers(1, 14),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(-2, 1), min_size=5, max_size=5),
+)
+def test_property_q_matches_ordered_audit(sig, order, t, seed, offsets):
+    _assert_q_matches_ordered_audit(*_q_case(sig, order, t, seed, offsets))
+
+
+def test_property_q_matches_ordered_audit_on_both_outcomes():
+    rng = random.Random(4096)
+    outcomes = []  # "holds", "error", or the depth of the violation
+    for _ in range(2000):
+        sig = rng.choice(Q_SIGNATURES)
+        order = rng.randint(1, 14)
+        t = rng.randint(0, 4)
+        # every depth below a random one gets a low minimum, so that
+        # violations also turn up at depths 3 and 4
+        low = rng.randint(0, t)
+        offsets = [
+            -rng.randint(0, order) if j < low else rng.randint(-2, 1) for j in range(5)
+        ]
+        found = _assert_q_matches_ordered_audit(
+            *_q_case(sig, order, t, rng.randrange(2**32), offsets)
+        )
+        if isinstance(found, QViolation):
+            outcomes.append(len(found.vertices))
+        else:
+            outcomes.append("holds" if found is None else "error")
+    assert outcomes.count("holds") >= 300
+    assert sum(isinstance(x, int) for x in outcomes) >= 300
+    assert all(outcomes.count(j) >= 10 for j in range(5))
 
 
 def test_search_q_target_is_reproducible():
