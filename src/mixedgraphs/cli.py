@@ -1,11 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 success or verified; 1 property violated, bound missed, or
-nothing found; 2 usage or input error; 3 search budget exhausted or
-exact method unavailable.  ``-`` (the default for most graph arguments)
-reads from stdin.  Witness data (colorings, forest assignments) rides
-inside graph files as sidecar lines, so any witness written with ``-o``
-re-verifies later from that file alone via the matching ``--check``.
+nothing found; 2 usage or input error; 3 search budget exhausted.  ``-``
+(the default for most graph arguments) reads from stdin.  Witness data
+(colorings, forest assignments) rides inside graph files as sidecar
+lines, so any witness written with ``-o`` re-verifies later from that
+file alone via the matching ``--check``.
 """
 
 from __future__ import annotations
@@ -22,15 +22,14 @@ from . import fileio, verification
 from .core import ColorSignature
 from .constructions import build_hk, build_special_gadget, hk_acyclic_coloring
 from .decomposition import (
-    ExactUnavailableError,
     ForestDecomposition,
+    _forest_partition,
     acyclic_chromatic_number,
     acyclic_from_homomorphisms,
     check_acyclic_coloring,
     check_forest_decomposition,
     digit_graphs,
     greedy_forests,
-    nash_williams_density,
 )
 from .solver import (
     BudgetExceededError,
@@ -59,7 +58,7 @@ _SELF = "<input>"
 
 
 def _positive(text: str) -> int:
-    """argparse type of budgets and limits: an integer of at least 1."""
+    """argparse type of budgets and attempt counts: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -178,7 +177,7 @@ def _mapping_lines(mapping: Iterable[int]) -> list[str]:
 
 
 def _forest_decomposition(args: argparse.Namespace, doc) -> ForestDecomposition:
-    """Forest lines from --forests, else from the input, else greedy."""
+    """Forest lines from --forests, else from the input, else the fewest forests."""
     if getattr(args, "forests", None):
         side = _read_document(args.forests)
         if not side.forests:
@@ -245,31 +244,17 @@ def _cmd_arb(args: argparse.Namespace) -> int:
         fd = ForestDecomposition.from_assignment(_sidecar(args, doc, "forest"))
         failure = check_forest_decomposition(doc.graph, fd)
         return out.verdict("decomposition", failure, f"{fd.count} forests", forests=fd.count)
-    fd = greedy_forests(doc.graph)
-    try:
-        arb, witness_set = nash_williams_density(
-            doc.graph, subset_limit=args.subset_limit
-        )
-    except ExactUnavailableError as exc:
-        out.emit(
-            {"record": "arb", "exact": False, "upper": fd.count, "reason": str(exc)},
-            f"exact arboricity unavailable ({exc}); greedy upper bound {fd.count}",
-        )
-        if args.output:
-            _write_or_print(
-                args.output, fileio.dumps(doc.graph, forests=dict(fd.assignment))
-            )
-        return BUDGET
-    lines = [f"arboricity {arb}"]
-    if witness_set is not None:
-        lines.append(f"# densest subset {list(witness_set)}")
+    fd, densest = _forest_partition(doc.graph)
+    lines = [f"arboricity {fd.count}"]
+    if densest is not None:
+        lines.append(f"# densest subset {list(densest)}")
     lines.append(f"# greedy decomposition uses {fd.count} forests")
     out.emit(
         {
             "record": "arb",
             "exact": True,
-            "arboricity": arb,
-            "densest": list(witness_set) if witness_set is not None else None,
+            "arboricity": fd.count,
+            "densest": list(densest) if densest is not None else None,
             "greedy_forests": fd.count,
         },
         lines,
@@ -639,11 +624,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_hom)
 
-    p = sub.add_parser("arb", help="exact arboricity and greedy forests")
+    p = sub.add_parser("arb", help="exact arboricity and the fewest forests")
     _add_graph(p)
-    p.add_argument("--subset-limit", type=_positive, default=20)
     _add_check(p, "forest")
-    p.add_argument("-o", "--output", help="write graph plus greedy forest lines here")
+    p.add_argument("-o", "--output", help="write graph plus forest lines here")
     _add_format(p)
     p.set_defaults(func=_cmd_arb)
 
@@ -673,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("digits", help="write the digit layer graphs")
     _add_graph(p)
     p.add_argument(
-        "--forests", metavar="FD", help="file with forest lines (default: greedy)"
+        "--forests", metavar="FD", help="file with forest lines (default: the fewest forests)"
     )
     p.add_argument(
         "-o", "--out-prefix", required=True, help="layer files get this prefix"
@@ -686,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_graph(p)
     p.add_argument(
-        "--forests", metavar="FD", help="file with forest lines (default: greedy)"
+        "--forests", metavar="FD", help="file with forest lines (default: the fewest forests)"
     )
     p.add_argument("--budget", type=_positive, default=10_000_000)
     p.add_argument("-o", "--output", help="write graph plus coloring here")

@@ -25,10 +25,6 @@ from .solver import (
 )
 
 
-class ExactUnavailableError(RuntimeError):
-    """Exact arboricity is not attempted above the subset limit."""
-
-
 @dataclass(frozen=True)
 class ForestDecomposition:
     """An assignment of every underlying edge to one of ``count`` forests."""
@@ -65,110 +61,153 @@ def check_forest_decomposition(graph: MixedGraph, fd: ForestDecomposition) -> st
     for i in range(fd.count):
         if i not in used:
             return f"forest {i} is empty"
-    # acyclicity per class via union-find
-    for i in range(fd.count):
-        parent = list(range(graph.order))
+    # acyclicity per class via union-find; vertex v of class i is i * n + v,
+    # and only non-roots are keys, so memory stays within the edge count
+    n = graph.order
+    parent: dict[int, int] = {}
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def find(x: int) -> int:
+        root = x
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
 
-        for (u, v), j in sorted(fd.assignment.items()):
-            if j != i:
-                continue
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return f"forest {i} contains a cycle through edge ({u}, {v})"
-            parent[ru] = rv
+    for (u, v), i in sorted(fd.assignment.items(), key=lambda item: (item[1], item[0])):
+        ru, rv = find(i * n + u), find(i * n + v)
+        if ru == rv:
+            return f"forest {i} contains a cycle through edge ({u}, {v})"
+        parent[ru] = rv
     return None
 
 
-def nash_williams_density(
-    graph: MixedGraph, subset_limit: int = 20
-) -> tuple[int, tuple[int, ...] | None]:
-    """Exact arboricity with a densest witness subset.
+def _tree_path(up: list[int], a: int, b: int, skip: dict[int, int]) -> list[int] | None:
+    """The a-b path in a forest of parent pointers ``up`` (-1 at a root).
 
-    Maximizes ceil(e' / (v' - 1)) over all induced subgraphs by
-    enumerating vertex subsets with incremental edge counts, so the cost
-    is O(2^order); orders above ``subset_limit`` raise
-    ExactUnavailableError (use greedy_forests for an upper bound).
-    Returns (arboricity, witness vertices); the witness is None for
-    edgeless graphs.
+    Returns the lower ends of its edges, or None when a and b lie in
+    different trees.  The edges in ``skip`` (lower end -> parent) form
+    subtrees that a climb jumps over to their top.  The ends climb in
+    turn until one meets the other's trail or both stand at roots, so a
+    query never walks a whole tree.
+    """
+    edges: tuple[list[int], list[int]] = ([], [])
+    seen = ({a: 0}, {b: 0})
+    at = [a, b]
+    side = 0
+    while at[side] not in seen[1 - side]:
+        x = top = at[side]
+        while top in skip:
+            nxt = skip[top]
+            skip[top] = skip.get(nxt, nxt)
+            top = nxt
+        if top == x:
+            top = up[x]
+            if top < 0:
+                if up[at[1 - side]] < 0:
+                    return None
+                side ^= 1
+                continue
+            edges[side].append(x)
+        seen[side][top] = len(edges[side])
+        at[side] = top
+        side ^= 1
+    meet = at[side]
+    return edges[0][: seen[0][meet]] + edges[1][: seen[1][meet]]
+
+
+def _hang(up: list[int], x: int, onto: int) -> None:
+    """Re-root x's tree at x, reversing its parent chain, and hang it under ``onto``."""
+    prev = onto
+    while x >= 0:
+        up[x], prev, x = prev, x, up[x]
+
+
+def _forest_partition(graph: MixedGraph) -> tuple[ForestDecomposition, tuple[int, ...] | None]:
+    """A decomposition into the fewest forests, with a densest vertex set.
+
+    Matroid-union augmenting paths (Roskind and Tarjan 1985; Gabow and
+    Westermann 1992) insert the underlying edges one at a time.  A
+    breadth-first search from the new edge labels, for each edge reached
+    and each forest but its own, the path joining its ends there.  The
+    first edge whose ends a forest keeps apart goes into it, and each
+    edge before it on this shortest chain takes the place its successor
+    left, which lies on the cycle it closes.  When the search fails with
+    k forests, each holds a spanning tree of the labelled edges, which
+    with the new edge number k(|S| - 1) + 1 on the set S of their ends:
+    S has density k + 1 (Nash-Williams), and forest k + 1 opens.  The
+    last such S attains the final count, which is thus the arboricity;
+    both are audited.  S is None without edges.  A forest is parent
+    pointers: a link re-roots one tree by reversing a parent chain, and
+    a cut clears one pointer.
     """
     n = graph.order
-    if n > subset_limit:
-        raise ExactUnavailableError(
-            f"order {n} exceeds subset limit {subset_limit}; "
-            "exact arboricity enumerates all vertex subsets"
-        )
-    if graph.e_count == 0:
-        return 0, None
-    adj_bits = [0] * n
-    for u, v in graph.underlying_edges():
-        adj_bits[u] |= 1 << v
-        adj_bits[v] |= 1 << u
-    edge_count = [0] * (1 << n)
-    best = 0
-    best_mask = 0
-    for mask in range(1, 1 << n):
-        low_bit = mask & -mask
-        low = low_bit.bit_length() - 1
-        rest = mask ^ low_bit
-        e = edge_count[rest] + (adj_bits[low] & rest).bit_count()
-        edge_count[mask] = e
-        v = mask.bit_count()
-        if v >= 2 and e > 0:
-            density = (e + v - 2) // (v - 1)
-            if density > best:
-                best = density
-                best_mask = mask
-    witness = tuple(x for x in range(n) if best_mask >> x & 1)
-    return best, witness
+    ups: list[list[int]] = []  # ups[i][v]: the parent of v in forest i, -1 at a root
+    forest_of: dict[tuple[int, int], int] = {}
+    densest: tuple[int, ...] | None = None
+    for edge in graph.underlying_edges():
+        label: dict[tuple[int, int], tuple[int, int] | None] = {edge: None}
+        queue = [edge]
+        # per forest, the labelled edges as lower end -> parent
+        skips: list[dict[int, int]] = [{} for _ in ups]
+        for f in queue:
+            for i, up in enumerate(ups):
+                if forest_of.get(f) == i:
+                    continue
+                path = _tree_path(up, *f, skips[i])
+                if path is None:
+                    break
+                for x in path:
+                    y = skips[i][x] = up[x]
+                    g = (x, y) if x < y else (y, x)
+                    label[g] = f
+                    queue.append(g)
+            else:
+                continue  # every forest joins the ends of f
+            out = None
+            while f is not None:
+                up = ups[i]
+                if out is not None:
+                    c, d = out
+                    up[c if up[c] == d else d] = -1
+                _hang(up, *f)
+                home = forest_of.get(f)
+                forest_of[f] = i
+                out, i, f = f, home, label[f]
+            break
+        else:
+            densest = tuple(sorted({x for f in label for x in f}))
+            ups.append([-1] * n)
+            _hang(ups[-1], *edge)
+            forest_of[edge] = len(ups) - 1
+    fd = ForestDecomposition(len(ups), forest_of)
+    audit = check_forest_decomposition(graph, fd)
+    assert audit is None, f"forest partition produced a bad decomposition: {audit}"
+    if densest is not None:
+        inside = set(densest)
+        e = sum(1 for v in densest for w in graph.neighbors(v) if w in inside) // 2
+        assert e > (fd.count - 1) * (len(densest) - 1), "densest set is too sparse"
+    return fd, densest
+
+
+def nash_williams_density(graph: MixedGraph) -> tuple[int, tuple[int, ...] | None]:
+    """Exact arboricity and a witness subset from ``_forest_partition``.
+
+    The witness induces ceil(e' / (v' - 1)) equal to the arboricity; it
+    is None for edgeless graphs.
+    """
+    fd, densest = _forest_partition(graph)
+    return fd.count, densest
 
 
 def greedy_forests(graph: MixedGraph) -> ForestDecomposition:
-    """Cover the underlying edges by repeatedly peeling a spanning forest.
+    """A decomposition into the fewest forests, from ``_forest_partition``.
 
-    Each round grows a depth-first spanning forest of the remaining
-    graph (roots and neighbors in ascending index order) and removes it.
-    The number of rounds is an arboricity upper bound, not necessarily
-    the optimum.
+    The name is older than the algorithm, a greedy peel that could use
+    more forests than the optimum; it stays because callers and tracing
+    tools look the function up by name.
     """
-    n = graph.order
-    remaining: list[set[int]] = [set(graph.neighbors(v)) for v in range(n)]
-    left = graph.e_count
-    assignment: dict[tuple[int, int], int] = {}
-    r = 0
-    while left > 0:
-        visited = [False] * n
-        taken: list[tuple[int, int]] = []
-        for root in range(n):
-            if visited[root]:
-                continue
-            visited[root] = True
-            stack = [(root, iter(sorted(remaining[root])))]
-            while stack:
-                v, it = stack[-1]
-                for w in it:
-                    if not visited[w]:
-                        visited[w] = True
-                        taken.append((v, w) if v < w else (w, v))
-                        stack.append((w, iter(sorted(remaining[w]))))
-                        break
-                else:
-                    stack.pop()
-        for u, v in taken:
-            assignment[(u, v)] = r
-            remaining[u].discard(v)
-            remaining[v].discard(u)
-        left -= len(taken)
-        r += 1
-    fd = ForestDecomposition(r, assignment)
-    audit = check_forest_decomposition(graph, fd)
-    assert audit is None, f"greedy peeling produced a bad decomposition: {audit}"
-    return fd
+    return _forest_partition(graph)[0]
 
 
 def _induced_cycle(
@@ -398,11 +437,11 @@ def acyclic_from_homomorphisms(
 ) -> ProductColoringResult:
     """Acyclic coloring via exact chromatic numbers of the digit layers.
 
-    Colors are the dense renumbering of the tuples of per-layer block
-    indices, so the palette is at most k ** (digit_count + 1) where k is
-    the largest layer chromatic number.  Layer searches that exhaust
-    ``hom_budget`` raise BudgetExceededError; nothing partial is
-    returned.
+    The default decomposition has the fewest forests.  Colors are the
+    dense renumbering of the tuples of per-layer block indices, so the
+    palette is at most k ** (digit_count + 1) where k is the largest
+    layer chromatic number.  Layer searches that exhaust ``hom_budget``
+    raise BudgetExceededError; nothing partial is returned.
     """
     if fd is None:
         fd = greedy_forests(graph)

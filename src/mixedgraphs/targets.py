@@ -29,13 +29,13 @@ class CompleteMixedTarget:
     """A complete colored mixed graph, with the seed that produced it.
 
     ``kind_masks`` is an index of the graph by relation kind, built on
-    first use and kept: ``kind_masks[v][i]`` has bit w set exactly when
-    ``graph.relation_from(v, w)`` is the i-th canonical kind.  A common
-    neighborhood is then an AND of rows.  The index lives here rather
-    than on ``MixedGraph`` because a complete graph is never mutated
-    once wrapped and its rows, p ints of order bits per vertex, take no
-    more memory than its adjacency dicts; the graph must not change
-    after the index is built.
+    first use and kept: ``kind_masks[v][rel]`` has bit w set exactly
+    when ``graph.relation_from(v, w)`` is ``rel``; a kind with no such
+    w has no entry, so the index holds only kinds the graph uses.  A
+    common neighborhood is then an AND of rows.  The index lives here
+    rather than on ``MixedGraph`` because a complete graph is never
+    mutated once wrapped and its rows take no more memory than its
+    adjacency dicts; the graph must not change after it is built.
     """
 
     graph: MixedGraph
@@ -51,15 +51,14 @@ class CompleteMixedTarget:
         return self.graph.order
 
     @cached_property
-    def kind_masks(self) -> tuple[tuple[int, ...], ...]:
-        sig = self.graph.signature
-        index = {kind: i for i, kind in enumerate(sig.kinds())}
+    def kind_masks(self) -> tuple[dict[RelationKind, int], ...]:
         rows = []
         for v in range(self.graph.order):
-            row = [0] * sig.p
+            row: dict[RelationKind, int] = {}
+            get = row.get
             for w, rel in self.graph.neighbors(v).items():
-                row[index[rel]] |= 1 << w
-            rows.append(tuple(row))
+                row[rel] = get(rel, 0) | 1 << w
+            rows.append(row)
         return tuple(rows)
 
 
@@ -141,7 +140,7 @@ def check_property_q(target: CompleteMixedTarget, spec: PropertySpec) -> QViolat
     if n < spec.required(0):
         return QViolation((), (), n, spec.required(0))
     kinds = g.signature.kinds()
-    masks = target.kind_masks
+    masks = [[row.get(kind, 0) for kind in kinds] for row in target.kind_masks]
 
     def extend(
         vertices: tuple[int, ...], indices: tuple[int, ...], mask: int
@@ -269,7 +268,6 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
         )
     degeneracy, order = degeneracy_ordering(graph)
     masks = target.kind_masks
-    kind_index = tg.signature.kind_index
     everything = (1 << tg.order) - 1
     image = [-1] * graph.order
     steps: list[GreedyStep] = []
@@ -280,7 +278,7 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
         needed = tuple(graph.neighbors(w)[v] for w in placed_neighbors)
         candidates = everything
         for x, rel in zip(images, needed):
-            candidates &= masks[x][kind_index(rel)]
+            candidates &= masks[x].get(rel, 0)
             if not candidates:
                 break
         future = [w for w in around if image[w] < 0]
@@ -385,7 +383,7 @@ def extend_regular(
                     "the embedding should have kept these apart"
                 )
     extended.add_relation(u_new, v_new, graph.relation_from(u, v))
-    first = graph.signature.kinds()[0]
+    first = graph.signature.kind_at(0)
     for fresh in (u_new, v_new):
         for y in range(n):
             if extended.relation_from(fresh, y) is None:

@@ -5,7 +5,9 @@ graph loader and the original ordered-tuple property audit, kept
 verbatim in behaviour: the differential tests require the library's
 results, step records and errors to equal theirs exactly.  The fixed-order chromatic search is the exception: it explores
 partitions in another order, so only the numbers it certifies must agree
-with the library's.
+with the library's.  So are the subset-scan arboricity and the forest
+peel: the first is an exact oracle for small orders, the second an upper
+bound the optimal decomposition must never exceed.
 """
 
 from typing import Callable, Generator, Sequence
@@ -13,6 +15,7 @@ from typing import Callable, Generator, Sequence
 from mixedgraphs import (
     ChromaticResult,
     CompleteMixedTarget,
+    ForestDecomposition,
     GreedyEmbedding,
     GreedyStep,
     Homomorphism,
@@ -24,6 +27,7 @@ from mixedgraphs import (
     QViolation,
     RelationKind,
     check_acyclic_coloring,
+    check_forest_decomposition,
     check_homomorphism,
     check_partition,
     common_neighborhood,
@@ -122,7 +126,13 @@ def ordered_check_property_q(target: CompleteMixedTarget, spec: PropertySpec) ->
     if n < spec.required(0):
         return QViolation((), (), n, spec.required(0))
     kinds = g.signature.kinds()
-    masks = target.kind_masks
+    index = {kind: i for i, kind in enumerate(kinds)}
+    masks = []
+    for v in range(n):
+        row = [0] * len(kinds)
+        for w, rel in g.neighbors(v).items():
+            row[index[rel]] |= 1 << w
+        masks.append(row)
 
     def extend(
         vertices: tuple[int, ...], indices: tuple[int, ...], mask: int
@@ -607,3 +617,82 @@ def reference_loads(text: str) -> GraphDocument:
     assert audit is None, f"parser produced an invalid graph: {audit}"
     doc.seed = seed
     return doc
+
+
+def subset_arboricity(graph: MixedGraph) -> tuple[int, tuple[int, ...] | None]:
+    """Exact arboricity with a densest witness subset.
+
+    Maximizes ceil(e' / (v' - 1)) over all induced subgraphs by
+    enumerating vertex subsets with incremental edge counts, so the cost
+    is O(2^order); callers keep the order small.
+    Returns (arboricity, witness vertices); the witness is None for
+    edgeless graphs.
+    """
+    n = graph.order
+    if graph.e_count == 0:
+        return 0, None
+    adj_bits = [0] * n
+    for u, v in graph.underlying_edges():
+        adj_bits[u] |= 1 << v
+        adj_bits[v] |= 1 << u
+    edge_count = [0] * (1 << n)
+    best = 0
+    best_mask = 0
+    for mask in range(1, 1 << n):
+        low_bit = mask & -mask
+        low = low_bit.bit_length() - 1
+        rest = mask ^ low_bit
+        e = edge_count[rest] + (adj_bits[low] & rest).bit_count()
+        edge_count[mask] = e
+        v = mask.bit_count()
+        if v >= 2 and e > 0:
+            density = (e + v - 2) // (v - 1)
+            if density > best:
+                best = density
+                best_mask = mask
+    witness = tuple(x for x in range(n) if best_mask >> x & 1)
+    return best, witness
+
+
+def peel_forests(graph: MixedGraph) -> ForestDecomposition:
+    """Cover the underlying edges by repeatedly peeling a spanning forest.
+
+    Each round grows a depth-first spanning forest of the remaining
+    graph (roots and neighbors in ascending index order) and removes it.
+    The number of rounds is an arboricity upper bound, not necessarily
+    the optimum; it was the library's decomposition before the
+    augmenting-path partition.
+    """
+    n = graph.order
+    remaining: list[set[int]] = [set(graph.neighbors(v)) for v in range(n)]
+    left = graph.e_count
+    assignment: dict[tuple[int, int], int] = {}
+    r = 0
+    while left > 0:
+        visited = [False] * n
+        taken: list[tuple[int, int]] = []
+        for root in range(n):
+            if visited[root]:
+                continue
+            visited[root] = True
+            stack = [(root, iter(sorted(remaining[root])))]
+            while stack:
+                v, it = stack[-1]
+                for w in it:
+                    if not visited[w]:
+                        visited[w] = True
+                        taken.append((v, w) if v < w else (w, v))
+                        stack.append((w, iter(sorted(remaining[w]))))
+                        break
+                else:
+                    stack.pop()
+        for u, v in taken:
+            assignment[(u, v)] = r
+            remaining[u].discard(v)
+            remaining[v].discard(u)
+        left -= len(taken)
+        r += 1
+    fd = ForestDecomposition(r, assignment)
+    audit = check_forest_decomposition(graph, fd)
+    assert audit is None, f"greedy peeling produced a bad decomposition: {audit}"
+    return fd

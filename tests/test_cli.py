@@ -223,6 +223,23 @@ def test_huge_signature_hom_and_pipeline_make_only_the_kinds_they_use(tmp_path, 
     assert len(core._interned) - before <= 2
 
 
+def test_huge_signature_greedy_hom_and_extend_regular_make_few_kinds(tmp_path, capsys):
+    arc = tmp_path / "arc.mg"
+    arc.write_text("mixedgraph 1\nsignature 1000000000 0\nvertices 2\na 0 1 999999937\n")
+    target = tmp_path / "target.mg"
+    target.write_text(
+        "mixedgraph 1\nsignature 1000000000 0\nvertices 3\n"
+        "a 0 1 999999937\na 1 2 999999937\na 2 0 999999937\n"
+    )
+    arc_out(1)  # extend-regular fills the new pairs with the first canonical kind
+    before = len(core._interned)
+    assert run(["greedy-hom", str(arc), str(target), "--format", "records"]) == 0
+    assert len(_records(capsys)[0]["mapping"]) == 2
+    assert run(["extend-regular", str(arc), str(target), "--format", "records"]) == 0
+    assert _records(capsys)[0]["mapping"] == [3, 4]
+    assert len(core._interned) - before <= 2
+
+
 def test_exit_code_usage(tmp_path, capsys):
     assert run(["chi", str(tmp_path / "missing.mg")]) == 2
     bad = tmp_path / "bad.mg"
@@ -246,7 +263,6 @@ def test_exit_code_budget(c5):
         ),
         ["search-q", "--sig", "1", "0", "--order", "5", "--tuples", "1",
          "--min", "1,1", "--attempts", "0", "--seed", "1"],
-        ["arb", "GRAPH", "--subset-limit", "0"],
     ],
 )
 def test_negative_budget_is_a_usage_error(argv, c5, capsys):

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from mixedgraphs import (
     BudgetExceededError,
     ColorSignature,
-    ExactUnavailableError,
     ForestDecomposition,
     MixedGraph,
     Partition,
     acyclic_chromatic_number,
     acyclic_from_homomorphisms,
+    build_hk,
+    build_special_gadget,
     ceil_log,
     check_acyclic_coloring,
     check_forest_decomposition,
@@ -24,8 +25,8 @@ from mixedgraphs import (
     loads,
     nash_williams_density,
 )
-from mixedgraphs.decomposition import _forest_count_bound
-from reference import per_k_acyclic_chromatic_number
+from mixedgraphs.decomposition import _forest_count_bound, _forest_partition
+from reference import peel_forests, per_k_acyclic_chromatic_number, subset_arboricity
 from strategies import (
     SIGNATURES,
     complete_graph,
@@ -89,12 +90,10 @@ def test_arboricity_matches_subset_oracle():
         assert nash_williams_density(g)[0] == _oracle_arboricity(g)
 
 
-def test_subset_limit_guard():
+def test_one_arc_among_25_vertices():
     g = MixedGraph(ColorSignature(1, 0), 25)
     g.add_arc(0, 1, 1)
-    with pytest.raises(ExactUnavailableError):
-        nash_williams_density(g)
-    nash_williams_density(g, subset_limit=25)
+    assert nash_williams_density(g) == (1, (0, 1))
 
 
 def test_greedy_forests_cover_and_bound():
@@ -103,8 +102,61 @@ def test_greedy_forests_cover_and_bound():
         g = _random_digraph(rng, rng.randint(2, 8), 0.6)
         fd = greedy_forests(g)
         assert check_forest_decomposition(g, fd) is None
-        assert fd.count >= nash_williams_density(g)[0]
+        assert fd.count == nash_williams_density(g)[0]
     assert greedy_forests(complete_graph(4)).count == 2
+
+
+def _assert_certified(g: MixedGraph) -> int:
+    """The decomposition is valid and the witness's density equals its
+    count, which together prove the count optimal; returns the count."""
+    fd, densest = _forest_partition(g)
+    assert check_forest_decomposition(g, fd) is None
+    if fd.count == 0:
+        assert densest is None
+        return 0
+    inside = set(densest)
+    e = sum(1 for u, v in g.underlying_edges() if u in inside and v in inside)
+    assert math.ceil(e / (len(inside) - 1)) == fd.count
+    return fd.count
+
+
+@given(mixed_graphs(max_order=12))
+@settings(max_examples=150, deadline=None)
+def test_forest_partition_matches_subset_oracle_and_peel(g):
+    count = _assert_certified(g)
+    assert count == subset_arboricity(g)[0]
+    assert count <= peel_forests(g).count
+
+
+def test_forest_partition_matches_subset_oracle_on_seeded_graphs():
+    rng = random.Random(1985)
+    for _ in range(120):
+        n = rng.randint(1, 14)
+        m = rng.randint(0, n * (n - 1) // 2)
+        g = seeded_graph(rng.choice(SIGNATURES), n, m, rng.randrange(2**32))
+        count = _assert_certified(g)
+        assert count == subset_arboricity(g)[0]
+        assert count <= peel_forests(g).count
+
+
+def test_forest_partition_certifies_up_to_order_64():
+    rng = random.Random(1992)
+    for _ in range(60):
+        n = rng.randint(15, 64)
+        m = rng.randint(n, min(n * (n - 1) // 2, 4 * n))
+        g = seeded_graph(rng.choice(SIGNATURES), n, m, rng.randrange(2**32))
+        assert _assert_certified(g) <= peel_forests(g).count
+    for n in (1, 2, 9, 16, 33):
+        assert _assert_certified(complete_graph(n)) == ((n + 1) // 2 if n > 1 else 0)
+    assert _assert_certified(build_special_gadget(ColorSignature(1, 0), 5)) == 2
+    h3 = build_hk(ColorSignature(1, 0), 3).graph
+    assert _assert_certified(h3) == 2
+    assert peel_forests(h3).count == 3
+
+
+def test_forest_partition_certifies_a_sparse_graph_of_thousands():
+    g = seeded_graph(ColorSignature(1, 0), 3000, 5250, 3)
+    assert _assert_certified(g) == 2
 
 
 def test_forest_checker_catches_violations():
@@ -120,6 +172,17 @@ def test_forest_checker_catches_violations():
     assert check_forest_decomposition(g, phantom) is not None
     not_an_edge = ForestDecomposition.from_assignment({(0, 4): 0})
     assert check_forest_decomposition(g, not_an_edge) is not None
+
+
+def test_forest_checker_takes_one_forest_per_edge():
+    # the audit's cost follows the edges, not forests times vertices
+    g = directed_path(2000)
+    fd = ForestDecomposition.from_assignment({e: i for i, e in enumerate(g.underlying_edges())})
+    assert fd.count == 1999 and check_forest_decomposition(g, fd) is None
+    g.add_arc(0, 2, 1)
+    edges = g.underlying_edges()  # (0, 1), (0, 2), (1, 2), (2, 3), ...
+    fd = ForestDecomposition.from_assignment({e: max(i - 2, 0) for i, e in enumerate(edges)})
+    assert check_forest_decomposition(g, fd) == "forest 0 contains a cycle through edge (1, 2)"
 
 
 # --- acyclic colorings ----------------------------------------------------------

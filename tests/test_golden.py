@@ -58,8 +58,8 @@ COMMANDS = {
     "arb-c5": "arb c5.mg -o -",
     "arb-mixed": "arb mixed.mg",
     "arb-mixed-records": "arb mixed.mg --format records",
-    "arb-dense-limit": "arb dense.mg --subset-limit 8",
-    "arb-dense-limit-records": "arb dense.mg --subset-limit 8 --format records",
+    "arb-dense": "arb dense.mg",
+    "arb-dense-records": "arb dense.mg --format records",
     "arb-check": "arb c5.mg --check c5-good.mg",
     "arb-check-records": "arb c5.mg --check c5-good.mg --format records",
     "arb-check-invalid": "arb c5.mg --check c5-bad.mg",

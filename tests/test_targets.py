@@ -57,10 +57,11 @@ def test_kind_masks_index_every_relation():
     kinds = g.signature.kinds()
     assert target.kind_masks is target.kind_masks
     for v in range(g.order):
-        for i, kind in enumerate(kinds):
+        for kind in kinds:
             expected = {w for w in range(g.order) if w != v and g.relation_from(v, w) == kind}
-            row = target.kind_masks[v][i]
+            row = target.kind_masks[v].get(kind, 0)
             assert {w for w in range(g.order) if row >> w & 1} == expected
+            assert (kind in target.kind_masks[v]) == bool(expected)
 
 
 def test_complete_target_rejects_missing_pairs():
