@@ -34,6 +34,7 @@ from .decomposition import (
 from .solver import (
     BudgetExceededError,
     ChromaticResult,
+    Homomorphism,
     Partition,
     check_homomorphism,
     check_partition,
@@ -172,8 +173,9 @@ def _coloring_lines(coloring: dict[int, int]) -> list[str]:
     return [f"color {v} {coloring[v]}" for v in sorted(coloring)]
 
 
-def _mapping_lines(mapping: Iterable[int]) -> list[str]:
-    return [f"map {u} {x}" for u, x in enumerate(mapping)]
+def _map_lines(out: _Output, hom: Homomorphism) -> list[str]:
+    """The ``map u x`` lines of ``fileio.dumps_mapping``; none for records output."""
+    return [] if out.records else fileio.dumps_mapping(hom.as_dict()).splitlines()
 
 
 def _forest_decomposition(args: argparse.Namespace, doc) -> ForestDecomposition:
@@ -232,7 +234,7 @@ def _cmd_hom(args: argparse.Namespace) -> int:
         return VIOLATED
     out.emit(
         {"record": "hom", "found": True, "mapping": list(hom.mapping)},
-        _mapping_lines(hom.mapping),
+        _map_lines(out, hom),
     )
     return OK
 
@@ -428,7 +430,7 @@ def _cmd_greedy_hom(args: argparse.Namespace) -> int:
             f"property violated: {exc}",
         )
         return VIOLATED
-    lines = _mapping_lines(embedding.homomorphism.mapping)
+    lines = _map_lines(out, embedding.homomorphism)
     lines.append(
         f"# degeneracy {embedding.degeneracy}, "
         f"{len(embedding.steps)} placements, all verified"
@@ -459,7 +461,7 @@ def _cmd_extend_regular(args: argparse.Namespace) -> int:
         )
         return VIOLATED
     lines = [f"extended target order {extended.order}"]
-    lines.extend(_mapping_lines(hom.mapping))
+    lines.extend(_map_lines(out, hom))
     out.emit(
         {
             "record": "extend-regular",

@@ -301,35 +301,86 @@ def _forest_count_bound(graph: MixedGraph) -> int:
 def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> ChromaticResult:
     """Exact acyclic chromatic number of the underlying graph.
 
-    The partition branch and bound of ``chromatic_number``, in a static
-    descending degree order.  A vertex may not join a block holding a
-    neighbor, nor close a cycle in the union of two blocks: a union-find
-    per pair of blocks (union by size, no path compression) holds their
-    forest, and backtracking undoes its links.  The lower bound is 3 when the graph
-    has a cycle, since two colors would make it bichromatic, or the
-    forest-count bound of ``_forest_count_bound`` when higher.  Each
-    placement attempt costs one node; when the budget runs out, the best
-    coloring found (singletons if none) is the witness and attains upper.
-    Witness blocks are in color order.
+    The partition branch and bound of ``chromatic_number``, with forward
+    checking.  A vertex may not join a block holding a neighbor, nor
+    close a cycle in the union of two blocks: a union-find per pair of
+    blocks (union by size, no path compression) holds their forest, and
+    backtracking undoes its links.  Each unplaced vertex u keeps a
+    bitmask of the blocks it may not join: those holding a neighbor, and
+    each block a such that two placed neighbors of u in one block c are
+    already joined in the forest of (a, c).  A placement updates the
+    masks of its unplaced neighbors and re-checks the second rule only
+    for vertices with two placed neighbors in one block, and only in the
+    forests it linked; unplacing restores them.  The next vertex is the
+    unplaced one with the most forbidden blocks, then the earlier in
+    descending degree order; when no unplaced vertex has a placed
+    neighbor, it is the next unplaced vertex of that order.  The
+    union-find still refuses a cycle the masks missed.  The lower bound
+    is 3 when the graph has a cycle, since two colors would make it
+    bichromatic, or the forest-count bound of ``_forest_count_bound``
+    when higher.  Each block considered costs one node, a forbidden one
+    too; when the budget runs out, the best coloring found (singletons
+    if none) is the witness and attains upper.  Witness blocks are in
+    color order.
     """
     n = graph.order
     cyclic = _induced_cycle(set(range(n)), graph) is not None
     static = 3 if cyclic else 2 if graph.e_count > 0 else 1
     lower = max(static, _forest_count_bound(graph))
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
     adj = [list(graph.neighbors(v)) for v in range(n)]
     block_of = [-1] * n
     # Vertex x of the forest of blocks a < b is the key (a * n + b) * n + x.
     up: dict[int, int] = {}
     size: dict[int, int] = {}
+    forbid = [0] * n
+    # near[u][c]: the placed neighbors of unplaced u in block c, in placement
+    # order; crowded[u]: how many of those lists hold two or more.
+    near: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    crowded: dict[int, int] = {}
+    # An unplaced vertex u with f > 0 forbidden blocks has the key
+    # (n - f) * n + rank[u] here, so the least key has the most forbidden
+    # blocks, then the lowest rank, and key % n is the rank.
+    narrowed: dict[int, int] = {}
+    # ahead[idx]: every vertex before this position of ``order`` is placed
+    # throughout the subtree of the current node at depth idx.
+    ahead = [0] * (n + 1)
+
+    def pick(idx: int) -> int:
+        if narrowed:
+            ahead[idx + 1] = ahead[idx]
+            return order[min(narrowed.values()) % n]
+        i = ahead[idx]
+        while block_of[order[i]] >= 0:
+            i += 1
+        ahead[idx + 1] = i + 1
+        return order[i]
 
     def root(key: int) -> int:
         while key in up:
             key = up[key]
         return key
 
-    def try_place(v: int, b: int) -> list[tuple[int, int]] | None:
+    def cut(links: list[tuple[int, int]]) -> None:
+        for child, top in reversed(links):
+            del up[child]
+            size[top] -= size.get(child, 1)
+
+    def joined(a: int, c: int, group: list[int]) -> bool:
+        """Whether two vertices of ``group`` share a tree in the forest of (a, c)."""
+        pair = (a * n + c if a < c else c * n + a) * n
+        return len({root(pair + w) for w in group}) < len(group)
+
+    def try_place(
+        v: int, b: int
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
+        if forbid[v] >> b & 1:
+            return None
         links: list[tuple[int, int]] = []
+        linked: set[int] = set()  # the blocks c whose forest (b, c) gains links
         for w in adj[v]:
             c = block_of[w]
             if c < 0:
@@ -345,20 +396,78 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
             up[rv] = rw
             size[rw] = size.get(rw, 1) + size.get(rv, 1)
             links.append((rv, rw))
+            linked.add(c)
         else:
             block_of[v] = b
-            return links
-        unplace(v, links)
+            narrowed.pop(v, None)
+            bit = 1 << b
+            trail: list[tuple[int, int]] = []  # (u, its mask before this placement)
+            for u in adj[v]:
+                if block_of[u] >= 0:
+                    continue
+                group = near[u].setdefault(b, [])
+                group.append(v)
+                if len(group) == 2:
+                    crowded[u] = crowded.get(u, 0) + 1
+                if not forbid[u] & bit:
+                    trail.append((u, forbid[u]))
+                    forbid[u] |= bit
+            for u in crowded:
+                if block_of[u] >= 0:
+                    continue
+                mask = old = forbid[u]
+                for c, group in near[u].items():
+                    if len(group) < 2:
+                        continue
+                    # only a forest (b, c') that just gained links can have
+                    # joined two of the group
+                    if c == b:
+                        others = linked
+                    elif c in linked:
+                        others = {b}
+                    else:
+                        continue
+                    for a in others:
+                        if not mask >> a & 1 and joined(a, c, group):
+                            mask |= 1 << a
+                if mask != old:
+                    trail.append((u, old))
+                    forbid[u] = mask
+            for u, _ in trail:
+                narrowed[u] = (n - forbid[u].bit_count()) * n + rank[u]
+            return links, trail
+        cut(links)
         return None
 
-    def unplace(v: int, links: list[tuple[int, int]]) -> None:
+    def unplace(
+        v: int, undo: tuple[list[tuple[int, int]], list[tuple[int, int]]]
+    ) -> None:
+        links, trail = undo
+        b = block_of[v]
         block_of[v] = -1
-        for child, top in reversed(links):
-            del up[child]
-            size[top] -= size.get(child, 1)
+        cut(links)
+        for u, old in reversed(trail):
+            forbid[u] = old
+            if old:
+                narrowed[u] = (n - old.bit_count()) * n + rank[u]
+            else:
+                del narrowed[u]
+        for u in adj[v]:
+            if block_of[u] >= 0:
+                continue
+            group = near[u][b]
+            group.pop()
+            if len(group) == 1:
+                crowded[u] -= 1
+                if not crowded[u]:
+                    del crowded[u]
+            elif not group:
+                del near[u][b]
+        if forbid[v]:
+            narrowed[v] = (n - forbid[v].bit_count()) * n + rank[v]
 
     best, nodes, out_of_budget = _partition_search(
-        n, order.__getitem__, try_place, unplace, lower, n, budget
+        n, pick, try_place, unplace, lower, n, budget
     )
     if best is not None:
         witness = Partition(tuple(tuple(sorted(block)) for block in best))

@@ -219,14 +219,21 @@ def criterion_3() -> tuple[bool, str]:
     failure = check_acyclic_coloring(h.graph, coloring)
     if failure is not None:
         return False, f"coloring rejected: {failure}"
-    # the exact search must reach the same number on its own
+    # the exact searches must reach the same numbers on their own
     result = chromatic_number(h.graph)
     if not result.exact or result.k != 12:
         return False, f"exact search gives bounds [{result.lower}, {result.upper}], not 12"
+    acyclic = acyclic_chromatic_number(h.graph)
+    if not acyclic.exact or acyclic.k != len(palette):
+        return False, (
+            f"acyclic search gives bounds [{acyclic.lower}, {acyclic.upper}], "
+            f"not {len(palette)}"
+        )
     return True, (
         "order 66; chromatic number certified 12 from both sides "
         "(clique 12, acyclic 3-coloring gives 3*2^2 = 12); "
-        f"the exact search agrees in {result.nodes} nodes"
+        f"the exact search agrees in {result.nodes} nodes, "
+        f"the acyclic search finds 3 in {acyclic.nodes} nodes"
     )
 
 

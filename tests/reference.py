@@ -3,9 +3,11 @@
 These are the original quadratic algorithms, the original eager
 graph loader and the original ordered-tuple property audit, kept
 verbatim in behaviour: the differential tests require the library's
-results, step records and errors to equal theirs exactly.  The fixed-order chromatic search is the exception: it explores
-partitions in another order, so only the numbers it certifies must agree
-with the library's.  So are the subset-scan arboricity and the forest
+results, step records and errors to equal theirs exactly.  The
+fixed-order chromatic search and the static-order acyclic search are the
+exceptions: they explore partitions in another order, so only the
+numbers they certify must agree with the library's.  So are the
+subset-scan arboricity and the forest
 peel: the first is an exact oracle for small orders, the second an upper
 bound the optimal decomposition must never exceed.
 """
@@ -35,6 +37,7 @@ from mixedgraphs import (
     special_pairs,
 )
 from mixedgraphs.core import ARC_OUT, EDGE, ColorSignature
+from mixedgraphs.decomposition import _forest_count_bound, _induced_cycle
 from mixedgraphs.fileio import (
     _SEED_COMMENT,
     FORMAT_VERSION,
@@ -483,6 +486,82 @@ def fixed_order_chromatic_number(
     upper = witness.k if witness is not None else cap
     return ChromaticResult(
         lower if out_of_budget else upper, upper, witness, nodes, out_of_budget
+    )
+
+
+def static_order_acyclic_chromatic_number(
+    graph: MixedGraph, budget: int = 5_000_000
+) -> ChromaticResult:
+    """Exact acyclic chromatic number of the underlying graph.
+
+    The library's search before it kept forbidden-block masks: the
+    partition branch and bound in a static descending degree order, on
+    the fixed-order engine above.  A vertex may not join a block holding
+    a neighbor, nor close a cycle in the union of two blocks: a
+    union-find per pair of blocks (union by size, no path compression)
+    holds their forest, and backtracking undoes its links.  The lower
+    bound is 3 when the graph has a cycle, since two colors would make it
+    bichromatic, or the forest-count bound of ``_forest_count_bound``
+    when higher.  Each placement attempt costs one node; when the budget
+    runs out, the best coloring found (singletons if none) is the witness
+    and attains upper.  Witness blocks are in color order.
+    """
+    n = graph.order
+    cyclic = _induced_cycle(set(range(n)), graph) is not None
+    static = 3 if cyclic else 2 if graph.e_count > 0 else 1
+    lower = max(static, _forest_count_bound(graph))
+    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+    adj = [list(graph.neighbors(v)) for v in range(n)]
+    block_of = [-1] * n
+    # Vertex x of the forest of blocks a < b is the key (a * n + b) * n + x.
+    up: dict[int, int] = {}
+    size: dict[int, int] = {}
+
+    def root(key: int) -> int:
+        while key in up:
+            key = up[key]
+        return key
+
+    def try_place(v: int, b: int) -> list[tuple[int, int]] | None:
+        links: list[tuple[int, int]] = []
+        for w in adj[v]:
+            c = block_of[w]
+            if c < 0:
+                continue
+            if c == b:
+                break
+            pair = (b * n + c if b < c else c * n + b) * n
+            rv, rw = root(pair + v), root(pair + w)
+            if rv == rw:
+                break
+            if size.get(rv, 1) > size.get(rw, 1):
+                rv, rw = rw, rv
+            up[rv] = rw
+            size[rw] = size.get(rw, 1) + size.get(rv, 1)
+            links.append((rv, rw))
+        else:
+            block_of[v] = b
+            return links
+        unplace(v, links)
+        return None
+
+    def unplace(v: int, links: list[tuple[int, int]]) -> None:
+        block_of[v] = -1
+        for child, top in reversed(links):
+            del up[child]
+            size[top] -= size.get(child, 1)
+
+    best, nodes, out_of_budget = _fixed_order_partition_search(
+        order, try_place, unplace, lower, n, budget
+    )
+    if best is not None:
+        witness = Partition(tuple(tuple(sorted(block)) for block in best))
+        audit = check_acyclic_coloring(graph, witness.block_of())
+        assert audit is None, f"search produced a bad coloring: {audit}"
+    else:
+        witness = Partition(tuple((v,) for v in range(n)))
+    return ChromaticResult(
+        lower if out_of_budget else witness.k, witness.k, witness, nodes, out_of_budget
     )
 
 

@@ -26,7 +26,12 @@ from mixedgraphs import (
     nash_williams_density,
 )
 from mixedgraphs.decomposition import _forest_count_bound, _forest_partition
-from reference import peel_forests, per_k_acyclic_chromatic_number, subset_arboricity
+from reference import (
+    peel_forests,
+    per_k_acyclic_chromatic_number,
+    static_order_acyclic_chromatic_number,
+    subset_arboricity,
+)
 from strategies import (
     SIGNATURES,
     complete_graph,
@@ -239,27 +244,35 @@ def test_acyclic_budget_exhaustion():
 def test_acyclic_search_nodes_and_witness_are_pinned():
     a = seeded_graph(ColorSignature(1, 0), 14, 35, 7)
     result = acyclic_chromatic_number(a)
-    assert (result.k, result.nodes) == (5, 619)
-    assert result.witness == Partition.from_coloring({
-        0: 1, 1: 1, 2: 1, 3: 5, 4: 1, 5: 2, 6: 4,
-        7: 2, 8: 2, 9: 3, 10: 4, 11: 5, 12: 4, 13: 4,
-    })
-    cut = acyclic_chromatic_number(a, budget=350)
-    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (4, 6, 351, True)
-    assert cut.witness == Partition(
-        ((1, 7), (2, 8, 9), (0, 3, 5), (4, 12), (6, 10, 11), (13,))
+    assert (result.k, result.nodes) == (5, 67)
+    assert result.witness == Partition(
+        ((0, 1, 2, 4), (5, 7, 8), (6, 10, 12, 13), (9,), (3, 11))
     )
+    cut = acyclic_chromatic_number(a, budget=30)
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (4, 14, 31, True)
+    assert cut.witness == Partition(tuple((v,) for v in range(14)))
+    cut = acyclic_chromatic_number(a, budget=60)
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (4, 5, 61, True)
+    assert cut.witness == result.witness
 
     b = seeded_graph(ColorSignature(1, 0), 20, 50, 9)
     result = acyclic_chromatic_number(b)
-    assert (result.k, result.nodes) == (5, 5647)
-    assert result.witness == Partition.from_coloring({
-        0: 2, 1: 1, 2: 1, 3: 2, 4: 4, 5: 2, 6: 3, 7: 4, 8: 3, 9: 4,
-        10: 1, 11: 3, 12: 4, 13: 3, 14: 1, 15: 1, 16: 4, 17: 2, 18: 5, 19: 5,
-    })
-    cut = acyclic_chromatic_number(b, budget=2979)
-    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (4, 5, 2980, True)
+    assert (result.k, result.nodes) == (5, 344)
+    assert result.witness == Partition(
+        ((2, 6, 10, 11, 13, 15), (3, 7, 8, 19), (1, 12, 16), (0, 5, 17, 18), (4, 9, 14))
+    )
+    cut = acyclic_chromatic_number(b, budget=172)
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (4, 5, 173, True)
     assert cut.witness == result.witness
+
+
+@pytest.mark.parametrize("sig", [ColorSignature(1, 0), ColorSignature(0, 2)])
+def test_acyclic_search_certifies_hk3(sig):
+    # H_3 has the acyclic 3-coloring of hk_acyclic_coloring; without forward
+    # checking, static_order_acyclic_chromatic_number stops at bounds [3, 8]
+    # after 200 000 nodes
+    result = acyclic_chromatic_number(build_hk(sig, 3).graph, budget=20_000)
+    assert result.exact and result.k == 3
 
 
 def test_forest_count_bound_values():
@@ -291,13 +304,15 @@ def test_forest_count_bound_never_exceeds_the_acyclic_number(g):
 
 
 def _assert_acyclic_matches_reference(g: MixedGraph, budget: int | None = None) -> None:
-    """Equal k and witness when both finish; on a cut, bounds that bracket
-    the reference's k and a witness that attains the upper bound."""
+    """Equal k and an audited witness with k blocks when both finish; on a
+    cut, bounds that bracket the reference's k and a witness that attains
+    the upper bound."""
     expected = per_k_acyclic_chromatic_number(g)
     assert expected.exact
     if budget is None:
         result = acyclic_chromatic_number(g)
-        assert (result.k, result.witness) == (expected.k, expected.witness)
+        assert result.k == expected.k and result.witness.k == result.k
+        assert check_acyclic_coloring(g, result.witness.block_of()) is None
         return
     cut = acyclic_chromatic_number(g, budget=budget)
     assert cut.exhausted and cut.nodes == budget + 1
@@ -328,10 +343,33 @@ def test_acyclic_search_matches_reference_on_seeded_graphs():
         g = seeded_graph(rng.choice(SIGNATURES), n, m, rng.randrange(2**32))
         _assert_acyclic_matches_reference(g)
         nodes = acyclic_chromatic_number(g).nodes
+        # one draw per graph whatever the node count, so the graphs drawn
+        # do not move when the search's node counts do
+        share = rng.random()
         if nodes > 1:
-            _assert_acyclic_matches_reference(g, rng.randrange(1, nodes))
+            _assert_acyclic_matches_reference(g, 1 + int(share * (nodes - 1)))
             cuts += 1
     assert cuts >= 50
+
+
+def test_acyclic_search_matches_static_order_search():
+    rng = random.Random(7070)
+    both = 0
+    for _ in range(60):
+        n = rng.randint(16, 40)
+        m = rng.randint(n, 3 * n // 2)
+        g = seeded_graph(rng.choice(SIGNATURES), n, m, rng.randrange(2**32))
+        expected = static_order_acyclic_chromatic_number(g, budget=20_000)
+        result = acyclic_chromatic_number(g, budget=20_000)
+        assert check_acyclic_coloring(g, result.witness.block_of()) is None
+        if expected.exact and result.exact:
+            assert result.k == expected.k
+            both += 1
+        elif expected.exact:
+            assert result.lower <= expected.k <= result.upper
+        elif result.exact:
+            assert expected.lower <= result.k <= expected.upper
+    assert both >= 50
 
 
 def test_acyclic_at_most_chromatic_on_small_graphs():
