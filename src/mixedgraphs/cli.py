@@ -146,7 +146,7 @@ def _emit_search(args, doc, result: ChromaticResult, title: str, first_color: in
     assert result.witness is not None
     coloring = {v: b + first_color for v, b in result.witness.block_of().items()}
     lines = [f"{title} {result.k}"]
-    lines.extend(_coloring_lines(coloring))
+    lines.extend(_coloring_lines(out, coloring))
     out.emit(
         {
             "record": args.command,
@@ -169,8 +169,9 @@ def _write_or_print(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _coloring_lines(coloring: dict[int, int]) -> list[str]:
-    return [f"color {v} {coloring[v]}" for v in sorted(coloring)]
+def _coloring_lines(out: _Output, coloring: dict[int, int]) -> list[str]:
+    """The ``color u c`` lines of a witness; none for records output."""
+    return [] if out.records else [f"color {v} {coloring[v]}" for v in sorted(coloring)]
 
 
 def _map_lines(out: _Output, hom: Homomorphism) -> list[str]:
@@ -338,7 +339,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         f"# forests {result.forest_count}, digit layers {result.digit_count + 1}, "
         f"layer chromatic numbers {list(result.layer_chromatics)}",
     ]
-    lines.extend(_coloring_lines(result.colors))
+    lines.extend(_coloring_lines(out, result.colors))
     out.emit(
         {
             "record": "acyclic-pipeline",

@@ -65,17 +65,8 @@ def check_forest_decomposition(graph: MixedGraph, fd: ForestDecomposition) -> st
     # and only non-roots are keys, so memory stays within the edge count
     n = graph.order
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while root in parent:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
     for (u, v), i in sorted(fd.assignment.items(), key=lambda item: (item[1], item[0])):
-        ru, rv = find(i * n + u), find(i * n + v)
+        ru, rv = _root(parent, i * n + u), _root(parent, i * n + v)
         if ru == rv:
             return f"forest {i} contains a cycle through edge ({u}, {v})"
         parent[ru] = rv
@@ -249,9 +240,13 @@ def check_acyclic_coloring(graph: MixedGraph, coloring: Mapping[int, int]) -> st
     """Audit an acyclic coloring; None when proper and forest-inducing.
 
     A coloring is acyclic when no relation is monochromatic and the
-    union of any two color classes induces no underlying cycle.  A
-    coloring that misses some vertex or names one outside 0..order-1 is
-    an input error, not a violation.
+    union of any two color classes induces no underlying cycle.  Once no
+    relation is monochromatic, classes a and b induce exactly the
+    relations colored {a, b}, so the relations are grouped by color pair
+    and each group gets one union-find: linear in the graph's size.
+    The least cyclic pair is then searched again for a cycle to report.
+    A coloring that misses some vertex or names one outside 0..order-1
+    is an input error, not a violation.
     """
     for v in range(graph.order):
         if v not in coloring:
@@ -259,19 +254,34 @@ def check_acyclic_coloring(graph: MixedGraph, coloring: Mapping[int, int]) -> st
     if len(coloring) > graph.order:
         extra = min(v for v in coloring if not 0 <= v < graph.order)
         raise ValueError(f"coloring names vertex {extra} out of range")
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for u, v, _ in graph.relations():
-        if coloring[u] == coloring[v]:
+        a, b = coloring[u], coloring[v]
+        if a == b:
             return f"monochromatic relation on ({u}, {v})"
-    classes: dict[int, set[int]] = {}
-    for v in range(graph.order):
-        classes.setdefault(coloring[v], set()).add(v)
-    labels = sorted(classes)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            cycle = _induced_cycle(classes[a] | classes[b], graph)
-            if cycle is not None:
-                return f"colors {a} and {b} induce a cycle through {cycle}"
-    return None
+        groups.setdefault((a, b) if a < b else (b, a), []).append((u, v))
+    cyclic = []
+    for pair, edges in groups.items():
+        parent: dict[int, int] = {}
+        for u, v in edges:
+            ru, rv = _root(parent, u), _root(parent, v)
+            if ru == rv:
+                cyclic.append(pair)
+                break
+            parent[ru] = rv
+    if not cyclic:
+        return None
+    a, b = min(cyclic)
+    cycle = _induced_cycle({v for v in range(graph.order) if coloring[v] in (a, b)}, graph)
+    return f"colors {a} and {b} induce a cycle through {cycle}"
+
+
+def _root(parent: dict[int, int], x: int) -> int:
+    """The root of x in a union-find whose non-roots are keys, halving the path."""
+    while x in parent:
+        up = parent[x]
+        parent[x] = x = parent.get(up, up)
+    return x
 
 
 def _forest_count_bound(graph: MixedGraph) -> int:

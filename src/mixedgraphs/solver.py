@@ -348,13 +348,16 @@ def _partition_search(
     lower: int,
     cap: int,
     budget: int,
+    opened: int = 0,
 ) -> tuple[tuple[tuple[int, ...], ...] | None, int, bool]:
     """Branch and bound over partitions of n vertices into at most ``cap`` blocks.
 
     At depth idx, ``pick(idx)`` names an unplaced vertex; it is placed
-    into the existing blocks first and then into a new one.  ``pick``
-    may read the caller's own state, which ``try_place`` and ``unplace``
-    keep, so the choice can follow the search.  ``try_place(v, b)`` puts
+    into the existing blocks first and then into a new one, except that
+    the vertices picked at depths below ``opened`` go straight into new
+    blocks.  ``pick`` may read the caller's own state, which
+    ``try_place`` and ``unplace`` keep, so the choice can follow the
+    search.  ``try_place(v, b)`` puts
     v into block b and returns what ``unplace`` needs to undo it, or None
     when the caller's constraint forbids it.  Each block considered
     costs one node, a rejected one too.  Only leaves with fewer blocks
@@ -377,7 +380,7 @@ def _partition_search(
             best_blocks = tuple(tuple(b) for b in blocks)
             return
         v = pick(idx)
-        for bi in range(len(blocks)):
+        for bi in range(len(blocks) if idx < opened else 0, len(blocks)):
             nodes += 1
             if nodes > budget:
                 out_of_budget = True
@@ -445,12 +448,22 @@ def chromatic_number(
     """Exact chromatic number by DSATUR branch and bound over partitions.
 
     Two vertices that are adjacent or joined by a special 2-path never
-    share a block, so each unplaced vertex keeps a bitmask of the blocks
-    it must avoid (Brélaz's saturation, with special-pair partners as
-    must-differ constraints), updated and undone for the placed vertex's
-    neighbours and partners only.  The vertices of ``special_clique`` are
-    placed first, each into a new block.  After them the next vertex is
-    the unplaced one with the most forbidden blocks, then the highest
+    share a block, and by the block-pair kind rule a vertex u with a
+    placed neighbour w in block a may not join a block c that is already
+    joined to a by a kind other than u's relation to w.  Each unplaced
+    vertex keeps a bitmask of the blocks these rules forbid (Brélaz's
+    saturation, with special-pair partners as must-differ constraints,
+    and forward checking after Haralick and Elliott).  A placement of v
+    into block b forbids b for v's neighbours and partners, forbids for
+    each neighbour every block joined to b by another kind, and checks
+    each join it creates against the neighbours of both blocks' members;
+    a trail of the bits it set undoes it.  The join check of a placement
+    stays as the safety net for what the masks miss, such as two placed
+    neighbours in one block with different kinds.  Vertices without
+    neighbours are left out of the search and put into block 0 at the
+    end.  The vertices of ``special_clique`` are placed first, each
+    straight into a new block.  After them the next vertex is the
+    unplaced one with the most forbidden blocks, then the highest
     underlying degree, then the lowest index; only vertices with some
     forbidden block are scanned, and when there are none the next
     unplaced vertex of the static degree order is taken.  Blocks are
@@ -475,11 +488,22 @@ def chromatic_number(
         [(w, rel, rel.dual()) for w, rel in graph.neighbors(v).items()]
         for v in range(n)
     ]
-    apart = [list(partners[v].union(graph.neighbors(v))) for v in range(n)]
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    seeds = [v for v in order if v in clique]
+    core = [v for v in range(n) if adj[v]]  # the vertices searched
+    lone = [v for v in range(n) if not adj[v]]
+    if not core:
+        return ChromaticResult(1, 1, Partition((tuple(lone),)), 0, False)
+    m = len(core)
+    limit = min(cap, m)
+    partners_only = [list(partners[v].difference(graph.neighbors(v))) for v in range(n)]
+    order = sorted(core, key=lambda v: (-len(adj[v]), v))
+    # a one-vertex clique forces nothing, and its vertex may have no neighbour
+    seeds = [v for v in order if v in clique] if len(clique) > 1 else []
     block_of = [-1] * n
-    joined: dict[tuple[int, int], RelationKind] = {}
+    # Block a is joined to the blocks in the bitmask linked[a]; bit c of
+    # by_kind[a][kind] is set when the relations from a to c have that kind.
+    linked = [0] * limit
+    by_kind: list[dict[RelationKind, int]] = [{} for _ in range(limit)]
+    members: list[list[int]] = [[] for _ in range(limit)]
     forbid = [0] * n
     # An unplaced vertex with f forbidden blocks and degree d has the key
     # base - f * step, so the least key has the most forbidden blocks,
@@ -491,7 +515,7 @@ def chromatic_number(
     narrowed: dict[int, int] = {}
     # ahead[idx]: every vertex before this position of ``order`` is placed
     # throughout the subtree of the current node at depth idx.
-    ahead = [0] * (n + 1)
+    ahead = [0] * (m + 1)
 
     def pick(idx: int) -> int:
         if idx < len(seeds):
@@ -505,71 +529,89 @@ def chromatic_number(
         ahead[idx + 1] = i + 1
         return order[i]
 
-    def try_place(
-        v: int, bi: int
-    ) -> tuple[list[tuple[int, int]], list[int]] | None:
+    def toggle(a: int, c: int, kind: RelationKind, dual: RelationKind) -> None:
+        """Join blocks a and c by ``kind`` seen from a, or undo that join."""
+        linked[a] ^= 1 << c
+        linked[c] ^= 1 << a
+        by_kind[a][kind] = by_kind[a].get(kind, 0) ^ 1 << c
+        by_kind[c][dual] = by_kind[c].get(dual, 0) ^ 1 << a
+
+    def try_place(v: int, bi: int) -> tuple[list, list[tuple[int, int]]] | None:
         if forbid[v] >> bi & 1:
             return None
-        added: list[tuple[int, int]] = []
+        row = by_kind[bi]
+        added: list[tuple[int, RelationKind, RelationKind]] = []  # new joins
         for w, rel, dual in adj[v]:
             bj = block_of[w]
             if bj < 0:
                 continue
             # bj != bi: a placed neighbour's block is in forbid[v]
-            key = (bi, bj) if bi < bj else (bj, bi)
-            need = rel if bi < bj else dual
-            have = joined.get(key)
-            if have is None:
-                joined[key] = need
-                added.append(key)
-            elif have != need:
-                for key in added:
-                    del joined[key]
-                return None
+            if linked[bi] >> bj & 1:
+                if not row.get(rel, 0) >> bj & 1:
+                    for join in added:
+                        toggle(bi, *join)
+                    return None
+                continue
+            toggle(bi, bj, rel, dual)
+            added.append((bj, rel, dual))
         block_of[v] = bi
         narrowed.pop(v, None)
         bit = 1 << bi
-        flipped: list[int] = []
-        for w in apart[v]:
-            if block_of[w] < 0:
-                old = forbid[w]
-                if not old & bit:
-                    forbid[w] = old | bit
-                    narrowed[w] = narrowed[w] - step if old else base[w] - step
-                    flipped.append(w)
-        return added, flipped
+        bans = [(w, bit) for w in partners_only[v] if block_of[w] < 0]
+        # the kind rule for v's neighbours, then for each new join (bi, a)
+        joins = linked[bi]
+        bans += [
+            (u, bit | joins & ~row.get(rel, 0)) for u, rel, _ in adj[v] if block_of[u] < 0
+        ]
+        for a, rel, dual in added:
+            abit = 1 << a
+            for x in members[bi]:
+                bans += [(u, abit) for u, r, _ in adj[x] if r is not rel and block_of[u] < 0]
+            for y in members[a]:
+                bans += [(u, bit) for u, r, _ in adj[y] if r is not dual and block_of[u] < 0]
+        members[bi].append(v)
+        trail: list[tuple[int, int]] = []  # (vertex, the bits this placement set)
+        for u, b in bans:
+            old = forbid[u]
+            b &= ~old
+            if b:
+                forbid[u] = old | b
+                narrowed[u] = (narrowed[u] if old else base[u]) - b.bit_count() * step
+                trail.append((u, b))
+        return added, trail
 
-    def unplace(
-        v: int, undo: tuple[list[tuple[int, int]], list[int]]
-    ) -> None:
-        added, flipped = undo
-        bit = 1 << block_of[v]
+    def unplace(v: int, undo: tuple[list, list[tuple[int, int]]]) -> None:
+        added, trail = undo
+        bi = block_of[v]
         block_of[v] = -1
-        for key in added:
-            del joined[key]
-        for w in flipped:
-            old = forbid[w] ^ bit
-            forbid[w] = old
+        members[bi].pop()
+        for join in added:
+            toggle(bi, *join)
+        for u, b in trail:
+            old = forbid[u] ^ b
+            forbid[u] = old
             if old:
-                narrowed[w] += step
+                narrowed[u] += b.bit_count() * step
             else:
-                del narrowed[w]
+                del narrowed[u]
         if forbid[v]:
             narrowed[v] = base[v] - forbid[v].bit_count() * step
 
     best_blocks, nodes, out_of_budget = _partition_search(
-        n, pick, try_place, unplace, lower, cap, budget
+        m, pick, try_place, unplace, lower, limit, budget, opened=len(seeds)
     )
-    if best_blocks is not None:
-        witness = Partition(best_blocks)
-        audit = check_partition(graph, witness)
-        assert audit is None, f"search produced an invalid partition: {audit}"
-    elif not out_of_budget:
+    if best_blocks is None and not out_of_budget:
         raise ValueError(
             f"no partition within upper_hint={upper_hint}; the hint was not a valid bound"
         )
-    else:
-        witness = Partition(tuple((v,) for v in range(n))) if cap == n else None
+    if best_blocks is None and limit == m:
+        best_blocks = tuple((v,) for v in core)
+    witness = None
+    if best_blocks is not None:
+        first, *rest = best_blocks
+        witness = Partition((first + tuple(lone), *rest))
+        audit = check_partition(graph, witness)
+        assert audit is None, f"search produced an invalid partition: {audit}"
     upper = witness.k if witness is not None else cap
     return ChromaticResult(
         lower if out_of_budget else upper, upper, witness, nodes, out_of_budget

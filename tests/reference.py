@@ -9,7 +9,8 @@ exceptions: they explore partitions in another order, so only the
 numbers they certify must agree with the library's.  So are the
 subset-scan arboricity and the forest
 peel: the first is an exact oracle for small orders, the second an upper
-bound the optimal decomposition must never exceed.
+bound the optimal decomposition must never exceed.  The pairwise
+acyclic-coloring audit must return the library's messages exactly.
 """
 
 from typing import Callable, Generator, Sequence
@@ -487,6 +488,30 @@ def fixed_order_chromatic_number(
     return ChromaticResult(
         lower if out_of_budget else upper, upper, witness, nodes, out_of_budget
     )
+
+
+def pairwise_check_acyclic_coloring(graph: MixedGraph, coloring) -> str | None:
+    """The acyclic-coloring audit that searched every pair of color
+    classes for an induced cycle: O(k^2 n) for k colors."""
+    for v in range(graph.order):
+        if v not in coloring:
+            raise ValueError(f"coloring misses vertex {v}")
+    if len(coloring) > graph.order:
+        extra = min(v for v in coloring if not 0 <= v < graph.order)
+        raise ValueError(f"coloring names vertex {extra} out of range")
+    for u, v, _ in graph.relations():
+        if coloring[u] == coloring[v]:
+            return f"monochromatic relation on ({u}, {v})"
+    classes: dict[int, set[int]] = {}
+    for v in range(graph.order):
+        classes.setdefault(coloring[v], set()).add(v)
+    labels = sorted(classes)
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            cycle = _induced_cycle(classes[a] | classes[b], graph)
+            if cycle is not None:
+                return f"colors {a} and {b} induce a cycle through {cycle}"
+    return None
 
 
 def static_order_acyclic_chromatic_number(

@@ -35,7 +35,7 @@ def test_chi_records_golden(c5, capsys):
     out = capsys.readouterr().out
     assert (
         out.strip()
-        == '{"exact": true, "k": 5, "nodes": 15, "record": "chi", "witness": [0, 2, 1, 3, 4]}'
+        == '{"exact": true, "k": 5, "nodes": 14, "record": "chi", "witness": [0, 2, 1, 3, 4]}'
     )
 
 

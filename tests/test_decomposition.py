@@ -27,6 +27,7 @@ from mixedgraphs import (
 )
 from mixedgraphs.decomposition import _forest_count_bound, _forest_partition
 from reference import (
+    pairwise_check_acyclic_coloring,
     peel_forests,
     per_k_acyclic_chromatic_number,
     static_order_acyclic_chromatic_number,
@@ -212,6 +213,32 @@ def test_acyclic_checker_rejects_vertices_out_of_range():
         check_acyclic_coloring(c5, {**good, 5: 1, 6: 1})
     with pytest.raises(ValueError, match="coloring names vertex -1 out of range"):
         check_acyclic_coloring(c5, {**good, -1: 2})
+
+
+def test_acyclic_checker_matches_the_pairwise_audit_on_seeded_colorings():
+    # Random colorings of seeded graphs: proper ones from a greedy pass
+    # over a shuffled order with a small random palette (often cyclic),
+    # and a few with one relation made monochromatic.
+    rng = random.Random(3131)
+    outcomes = {"acyclic": 0, "cycle": 0, "monochromatic": 0}
+    for trial in range(300):
+        n = rng.randint(1, 40)
+        m = rng.randint(0, min(n * (n - 1) // 2, 2 * n))
+        g = seeded_graph(SIGNATURES[trial % len(SIGNATURES)], n, m, rng.randrange(2**32))
+        palette = rng.randint(2, 6)
+        coloring: dict[int, int] = {}
+        for v in rng.sample(range(n), n):
+            taken = {coloring[w] for w in g.neighbors(v) if w in coloring}
+            free = [c for c in range(palette) if c not in taken] or [max(taken) + 1]
+            coloring[v] = rng.choice(free)
+        if m and trial % 10 == 0:
+            u, v, _ = rng.choice(list(g.relations()))
+            coloring[u] = coloring[v]
+        audit = check_acyclic_coloring(g, coloring)
+        assert audit == pairwise_check_acyclic_coloring(g, coloring)
+        kind = "acyclic" if audit is None else audit.split()[0]
+        outcomes["cycle" if kind == "colors" else kind] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_acyclic_chromatic_known_values():

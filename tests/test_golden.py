@@ -30,6 +30,8 @@ COMMANDS = {
     "chi-mixed-records": "chi mixed.mg --format records",
     "chi-dense-budget": "chi dense.mg --budget 40",
     "chi-dense-budget-records": "chi dense.mg --budget 40 --format records",
+    "chi-dense-small-budget": "chi dense.mg --budget 20",
+    "chi-dense-small-budget-records": "chi dense.mg --budget 20 --format records",
     "chi-lower-only": "chi mixed.mg --lower-only",
     "chi-lower-only-records": "chi mixed.mg --lower-only --format records",
     "chi-check": "chi c5.mg --check c5-colored.mg",

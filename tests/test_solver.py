@@ -12,7 +12,9 @@ from mixedgraphs import (
     check_homomorphism,
     check_partition,
     chromatic_number,
+    digit_graphs,
     find_homomorphism,
+    greedy_forests,
     paley_tournament,
     quotient,
     sample_complete,
@@ -238,34 +240,37 @@ def test_every_graph_maps_into_its_own_quotient(g):
 def test_chromatic_search_nodes_and_witness_are_pinned():
     a = seeded_graph(ColorSignature(1, 1), 14, 20, 7)
     result = chromatic_number(a)
-    assert (result.k, result.nodes) == (6, 39)
+    assert (result.k, result.nodes) == (6, 26)
     assert result.witness.blocks == (
         (9, 8, 4, 7, 12), (3, 2), (10, 6), (0, 11), (5, 13), (1,)
     )
     # The first DSATUR leaf is optimal here, at the last node: one fewer
-    # and no partition is found, so the witness is the singletons.
-    cut = chromatic_number(a, budget=38)
-    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (5, 14, 39, True)
-    assert cut.witness == Partition(tuple((v,) for v in range(14)))
+    # and no partition is found, so the witness is the searched vertices
+    # as singletons, with the isolated 4, 7 and 12 added to block 0.
+    cut = chromatic_number(a, budget=25)
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (5, 11, 26, True)
+    assert cut.witness.blocks == (
+        (0, 4, 7, 12), (1,), (2,), (3,), (5,), (6,), (8,), (9,), (10,), (11,), (13,)
+    )
 
     b = seeded_graph(ColorSignature(1, 0), 16, 24, 11)
     result = chromatic_number(b)
-    assert (result.k, result.nodes) == (6, 51)
+    assert (result.k, result.nodes) == (6, 43)
     assert result.witness.blocks == (
         (9, 12, 11, 4, 15), (5, 0, 2), (8, 1), (13, 3, 7), (6, 14), (10,)
     )
-    cut = chromatic_number(b, budget=50)
-    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (4, 6, 51, True)
+    cut = chromatic_number(b, budget=42)
+    assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (4, 6, 43, True)
     assert cut.witness == result.witness
 
 
 @pytest.mark.parametrize(
     "sig, k, order, chi, nodes",
     [
-        (ColorSignature(1, 0), 3, 66, 12, 252),
-        (ColorSignature(0, 2), 3, 66, 12, 203),
-        (ColorSignature(1, 0), 4, 428, 32, 1906),
-        (ColorSignature(0, 2), 4, 428, 32, 1546),
+        (ColorSignature(1, 0), 3, 66, 12, 176),
+        (ColorSignature(0, 2), 3, 66, 12, 131),
+        (ColorSignature(1, 0), 4, 428, 32, 1410),
+        (ColorSignature(0, 2), 4, 428, 32, 886),
     ],
 )
 def test_chromatic_number_of_the_tightness_construction(sig, k, order, chi, nodes):
@@ -278,9 +283,9 @@ def test_chromatic_number_of_the_tightness_construction(sig, k, order, chi, node
 
 def test_chromatic_search_scales_to_isolated_vertices():
     # 20 000 vertices: a seeded sparse part with 19 400 isolated vertices
-    # interleaved.  Once the sparse components are placed nothing is
-    # narrowed, and each later vertex must come from a forward pointer
-    # into the degree order rather than a scan from its start.
+    # interleaved.  Isolated vertices stay out of the search and join
+    # block 0 after it, so the padded graph is searched exactly as its
+    # sparse part: the same bounds after the same nodes.
     n = 20_000
     rng = random.Random(2020)
     part = sparse_graph(ColorSignature(1, 1), 600, rng, max_degree=3, back=2)
@@ -291,7 +296,16 @@ def test_chromatic_search_scales_to_isolated_vertices():
     result = chromatic_number(g, budget=200_000)
     assert result.witness.k == result.upper
     assert check_partition(g, result.witness) is None
-    assert result.lower <= chromatic_number(part, budget=200_000).upper <= result.upper
+    alone = chromatic_number(part, budget=200_000)
+    assert (result.lower, result.upper, result.nodes, result.exhausted) == (
+        alone.lower, alone.upper, alone.nodes, alone.exhausted
+    )
+
+
+def test_a_graph_without_relations_is_one_block():
+    g = MixedGraph(ColorSignature(1, 1), 5)
+    result = chromatic_number(g)
+    assert (result.k, result.nodes, result.witness.blocks) == (1, 0, ((0, 1, 2, 3, 4),))
 
 
 def test_homomorphism_search_witnesses_are_pinned():
@@ -430,3 +444,28 @@ def test_chromatic_number_matches_the_fixed_order_reference_on_seeded_graphs():
             cuts += cut
     assert exact >= 300
     assert cuts >= 50
+
+
+def test_digit_layer_searches_rarely_exhaust_and_match_the_reference():
+    # The digit layers of 40 sparse graphs of order 30-64, the inputs of
+    # the acyclic pipeline.  Without the block-pair kind rule in the
+    # masks, 16 of these 83 searches exhaust a 10^4 budget; with it, 1.
+    # Where the fixed-order reference also finishes, chi is the same.
+    sigs = DIFFERENTIAL_SIGNATURES[:3]
+    exhausted = agreed = 0
+    for i in range(40):
+        n = 30 + 34 * i // 39
+        g = seeded_graph(sigs[i % 3], n, round((2.5 + i % 5 / 4) * n / 2), 9000 + i)
+        for layer in digit_graphs(g, greedy_forests(g)):
+            result = chromatic_number(layer, budget=10_000)
+            assert result.witness.k == result.upper
+            assert check_partition(layer, result.witness) is None
+            exhausted += result.exhausted
+            expected = fixed_order_chromatic_number(layer, budget=20_000)
+            assert max(result.lower, expected.lower) <= min(result.upper, expected.upper)
+            if result.exact and expected.exact:
+                assert result.k == expected.k
+                agreed += 1
+    assert exhausted <= 3
+    assert agreed >= 10
+
