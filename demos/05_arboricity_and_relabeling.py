@@ -49,8 +49,9 @@ print("digit layers:", len(layers))
 
 # Exact minimal images of every layer multiply into an acyclic coloring.
 result = acyclic_from_homomorphisms(g, fd)
-print("layer chromatic numbers:", result.layer_chromatics)
-print("palette used:", result.palette,
-      "<= bound", max(result.layer_chromatics) ** (result.digit_count + 1))
+assert result.exact  # every layer search finished within its budget
+chis = [layer.k for layer in result.layers]
+print("layer chromatic numbers:", chis)
+print("palette used:", result.palette, "<= bound", max(chis) ** len(chis))
 assert check_acyclic_coloring(g, result.colors) is None
 print("acyclic coloring verified")

@@ -32,7 +32,6 @@ from .decomposition import (
     greedy_forests,
 )
 from .solver import (
-    BudgetExceededError,
     ChromaticResult,
     Homomorphism,
     Partition,
@@ -334,10 +333,15 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     out = _Output(args)
     fd = _forest_decomposition(args, doc)
     result = acyclic_from_homomorphisms(doc.graph, fd, hom_budget=args.budget)
+    if result.exact:
+        key, layers = "layer_chromatics", [layer.k for layer in result.layers]
+        summary = f"layer chromatic numbers {layers}"
+    else:
+        key, layers = "layer_bounds", [[layer.lower, layer.upper] for layer in result.layers]
+        summary = f"budget exhausted: layer chromatic bounds {layers}"
     lines = [
         f"palette {result.palette}",
-        f"# forests {result.forest_count}, digit layers {result.digit_count + 1}, "
-        f"layer chromatic numbers {list(result.layer_chromatics)}",
+        f"# forests {result.forest_count}, digit layers {len(result.layers)}, {summary}",
     ]
     lines.extend(_coloring_lines(out, result.colors))
     out.emit(
@@ -345,14 +349,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             "record": "acyclic-pipeline",
             "palette": result.palette,
             "forests": result.forest_count,
-            "layer_chromatics": list(result.layer_chromatics),
+            key: layers,
             "witness": [result.colors[v] for v in sorted(result.colors)],
         },
         lines,
     )
     if args.output:
         _write_or_print(args.output, fileio.dumps(doc.graph, coloring=result.colors))
-    return OK
+    return OK if result.exact else BUDGET
 
 
 def _cmd_sample_target(args: argparse.Namespace) -> int:
@@ -772,9 +776,6 @@ def run(argv: list[str] | None = None) -> int:
     except (fileio.FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return BUDGET
 
 
 def main() -> None:

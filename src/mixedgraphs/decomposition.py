@@ -16,13 +16,7 @@ from typing import Mapping, Sequence
 
 from .bounds import ceil_log
 from .core import ColorSignature, MixedGraph, degeneracy_ordering, require_rich_signature
-from .solver import (
-    BudgetExceededError,
-    ChromaticResult,
-    Partition,
-    _partition_search,
-    chromatic_number,
-)
+from .solver import ChromaticResult, Partition, _partition_search, chromatic_number
 
 
 @dataclass(frozen=True)
@@ -321,14 +315,13 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
     already joined in the forest of (a, c).  A placement updates the
     masks of its unplaced neighbors and re-checks the second rule only
     for vertices with two placed neighbors in one block, and only in the
-    forests it linked; unplacing restores them.  The next vertex is the
-    unplaced one with the most forbidden blocks, then the earlier in
-    descending degree order; when no unplaced vertex has a placed
-    neighbor, it is the next unplaced vertex of that order.  The
-    union-find still refuses a cycle the masks missed.  The lower bound
-    is 3 when the graph has a cycle, since two colors would make it
-    bichromatic, or the forest-count bound of ``_forest_count_bound``
-    when higher.  Each block considered costs one node, a forbidden one
+    forests it linked; unplacing restores them.  ``_partition_search``
+    takes the unplaced vertex with the most forbidden blocks next, then
+    the earlier in descending degree order.  The union-find still
+    refuses a cycle the masks missed.  The lower bound is 3 when the
+    graph has a cycle, since two colors would make it bichromatic, or
+    the forest-count bound of ``_forest_count_bound`` when higher.  Each
+    block considered costs one node, a forbidden one
     too; when the budget runs out, the best coloring found (singletons
     if none) is the witness and attains upper.  Witness blocks are in
     color order.
@@ -351,23 +344,7 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
     # order; crowded[u]: how many of those lists hold two or more.
     near: list[dict[int, list[int]]] = [{} for _ in range(n)]
     crowded: dict[int, int] = {}
-    # An unplaced vertex u with f > 0 forbidden blocks has the key
-    # (n - f) * n + rank[u] here, so the least key has the most forbidden
-    # blocks, then the lowest rank, and key % n is the rank.
-    narrowed: dict[int, int] = {}
-    # ahead[idx]: every vertex before this position of ``order`` is placed
-    # throughout the subtree of the current node at depth idx.
-    ahead = [0] * (n + 1)
-
-    def pick(idx: int) -> int:
-        if narrowed:
-            ahead[idx + 1] = ahead[idx]
-            return order[min(narrowed.values()) % n]
-        i = ahead[idx]
-        while block_of[order[i]] >= 0:
-            i += 1
-        ahead[idx + 1] = i + 1
-        return order[i]
+    narrowed: dict[int, int] = {}  # the pick keys of ``_partition_search``
 
     def root(key: int) -> int:
         while key in up:
@@ -477,7 +454,7 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
             narrowed[v] = (n - forbid[v].bit_count()) * n + rank[v]
 
     best, nodes, out_of_budget = _partition_search(
-        n, pick, try_place, unplace, lower, n, budget
+        order, (), narrowed, block_of, try_place, unplace, lower, n, budget
     )
     if best is not None:
         witness = Partition(tuple(tuple(sorted(block)) for block in best))
@@ -538,13 +515,21 @@ def digit_graphs(
 
 @dataclass(frozen=True)
 class ProductColoringResult:
-    """An acyclic coloring assembled from per-layer homomorphisms."""
+    """An acyclic coloring assembled from per-layer homomorphisms.
+
+    ``layers`` holds each digit layer's chromatic search; the coloring is
+    audited whether or not they all finished, and ``exact`` says whether
+    every layer value it rests on is proven.
+    """
 
     colors: dict[int, int]
     palette: int
-    layer_chromatics: tuple[int, ...]
+    layers: tuple[ChromaticResult, ...]
     forest_count: int
-    digit_count: int
+
+    @property
+    def exact(self) -> bool:
+        return all(layer.exact for layer in self.layers)
 
 
 def acyclic_from_homomorphisms(
@@ -554,47 +539,29 @@ def acyclic_from_homomorphisms(
     hom_budget: int = 10_000_000,
     signature: ColorSignature | None = None,
 ) -> ProductColoringResult:
-    """Acyclic coloring via exact chromatic numbers of the digit layers.
+    """Acyclic coloring via chromatic number searches of the digit layers.
 
     The default decomposition has the fewest forests.  Colors are the
     dense renumbering of the tuples of per-layer block indices, so the
-    palette is at most k ** (digit_count + 1) where k is the largest
-    layer chromatic number.  Layer searches that exhaust ``hom_budget``
-    raise BudgetExceededError; nothing partial is returned.
+    palette is at most the product of the layers' upper bounds.  Every
+    layer's witness is a homomorphic image of that layer, whether its
+    search finished or ran out of ``hom_budget`` (at worst the
+    singletons), so the product coloring is acyclic either way (see
+    ``digit_graphs``); it is audited, and the result is ``exact`` only
+    when every layer search finished.
     """
     if fd is None:
         fd = greedy_forests(graph)
-    layers = digit_graphs(graph, fd, vertex_order=vertex_order, signature=signature)
-    layer_blocks: list[dict[int, int]] = []
-    layer_chromatics: list[int] = []
-    for index, layer in enumerate(layers):
-        result = chromatic_number(layer, budget=hom_budget)
-        if not result.exact:
-            raise BudgetExceededError(
-                f"layer {index} chromatic search exhausted its budget "
-                f"(bounds [{result.lower}, {result.upper}])",
-                result.lower,
-                result.upper,
-            )
-        assert result.witness is not None
-        layer_blocks.append(result.witness.block_of())
-        layer_chromatics.append(result.k)
-    tuples = {
-        v: tuple(blocks[v] for blocks in layer_blocks) for v in range(graph.order)
-    }
+    layers = tuple(
+        chromatic_number(layer, budget=hom_budget)
+        for layer in digit_graphs(graph, fd, vertex_order=vertex_order, signature=signature)
+    )
+    layer_blocks = [layer.witness.block_of() for layer in layers]
     dense: dict[tuple[int, ...], int] = {}
     colors: dict[int, int] = {}
     for v in range(graph.order):
-        t = tuples[v]
-        if t not in dense:
-            dense[t] = len(dense) + 1
-        colors[v] = dense[t]
+        t = tuple(blocks[v] for blocks in layer_blocks)
+        colors[v] = dense.setdefault(t, len(dense) + 1)
     audit = check_acyclic_coloring(graph, colors)
     assert audit is None, f"product coloring is not acyclic: {audit}"
-    return ProductColoringResult(
-        colors=colors,
-        palette=len(dense),
-        layer_chromatics=tuple(layer_chromatics),
-        forest_count=fd.count,
-        digit_count=len(layers) - 1,
-    )
+    return ProductColoringResult(colors, len(dense), layers, fd.count)

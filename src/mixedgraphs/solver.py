@@ -5,8 +5,11 @@ homomorphic image.  Homomorphic images correspond to vertex partitions
 whose blocks are independent and pairwise joined by at most one relation
 kind, so the search branches over such partitions directly.
 
-Everything here is exact and deterministic; graphs beyond a few hundred
-vertices are out of scope.
+Everything here is deterministic and exact within a node budget.  The
+searches run on an explicit stack, so the budget rather than the
+recursion limit bounds the graphs they take: the tests run
+``find_homomorphism`` and ``chromatic_number`` on a 1500-vertex path,
+and ``chromatic_number`` on 20 000 vertices.
 """
 
 from __future__ import annotations
@@ -15,15 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
 
 from .core import MixedGraph, RelationKind, special_pairs
-
-
-class BudgetExceededError(RuntimeError):
-    """An exact search ran out of its node budget."""
-
-    def __init__(self, message: str, lower: int, upper: int):
-        super().__init__(message)
-        self.lower = lower
-        self.upper = upper
 
 
 @dataclass(frozen=True)
@@ -341,37 +335,44 @@ def _greedy_clique(adj: list[set[int]]) -> set[int]:
 
 
 def _partition_search(
-    n: int,
-    pick: Callable[[int], int],
+    order: Sequence[int],
+    seeds: Sequence[int],
+    narrowed: dict[int, int],
+    block_of: list[int],
     try_place: Callable[[int, int], object | None],
     unplace: Callable[[int, object], None],
     lower: int,
     cap: int,
     budget: int,
-    opened: int = 0,
 ) -> tuple[tuple[tuple[int, ...], ...] | None, int, bool]:
-    """Branch and bound over partitions of n vertices into at most ``cap`` blocks.
+    """Branch and bound over partitions of ``order`` into at most ``cap`` blocks.
 
-    At depth idx, ``pick(idx)`` names an unplaced vertex; it is placed
-    into the existing blocks first and then into a new one, except that
-    the vertices picked at depths below ``opened`` go straight into new
-    blocks.  ``pick`` may read the caller's own state, which
-    ``try_place`` and ``unplace`` keep, so the choice can follow the
-    search.  ``try_place(v, b)`` puts
-    v into block b and returns what ``unplace`` needs to undo it, or None
-    when the caller's constraint forbids it.  Each block considered
-    costs one node, a rejected one too.  Only leaves with fewer blocks
-    than the best so far are reached, so the first optimal leaf is kept;
-    one with ``lower`` blocks ends the search.  Returns the best blocks
-    (if any), the node count and whether the budget ran out.
+    The ``seeds`` are placed first, in turn, each straight into a new
+    block.  After them the next vertex is the unplaced one with the most
+    forbidden blocks, then the earliest in ``order``: ``narrowed`` maps
+    each unplaced vertex u with f > 0 forbidden blocks to the key
+    (n - f) * n + i, where n = len(order) and u = order[i], and the least
+    key wins.  When ``narrowed`` is empty the next vertex is the first
+    unplaced one of ``order``; ``block_of[v]`` is negative exactly when v
+    is unplaced.  The caller's ``try_place`` and ``unplace`` keep all
+    three up to date.  A vertex is tried in the existing blocks first and
+    then in a new one.  ``try_place(v, b)`` puts v into block b and
+    returns what ``unplace`` needs to undo it, or None when the caller's
+    constraint forbids it.  Each block considered costs one node, a
+    rejected one too.  Only leaves with fewer blocks than the best so far
+    are reached, so the first optimal leaf is kept; one with ``lower``
+    blocks ends the search.  Returns the best blocks (if any), the node
+    count and whether the budget ran out.
     """
+    n = len(order)
     blocks: list[list[int]] = []
     bound = cap + 1  # blocks of the best leaf so far, or cap + 1
     best_blocks: tuple[tuple[int, ...], ...] | None = None
     nodes = 0
     out_of_budget = False
 
-    def search(idx: int) -> Generator:
+    def search(idx: int, cursor: int) -> Generator:
+        # every vertex of order[:cursor] stays placed in this subtree
         nonlocal bound, best_blocks, nodes, out_of_budget
         if out_of_budget or len(blocks) >= bound:
             return
@@ -379,8 +380,18 @@ def _partition_search(
             bound = len(blocks)
             best_blocks = tuple(tuple(b) for b in blocks)
             return
-        v = pick(idx)
-        for bi in range(len(blocks) if idx < opened else 0, len(blocks)):
+        first = 0
+        if idx < len(seeds):
+            v = seeds[idx]
+            first = len(blocks)
+        elif narrowed:
+            v = order[min(narrowed.values()) % n]
+        else:
+            while block_of[order[cursor]] >= 0:
+                cursor += 1
+            v = order[cursor]
+            cursor += 1
+        for bi in range(first, len(blocks)):
             nodes += 1
             if nodes > budget:
                 out_of_budget = True
@@ -388,7 +399,7 @@ def _partition_search(
             added = try_place(v, bi)
             if added is not None:
                 blocks[bi].append(v)
-                yield search(idx + 1)
+                yield search(idx + 1, cursor)
                 blocks[bi].pop()
                 unplace(v, added)
                 if out_of_budget or bound == lower or len(blocks) >= bound:
@@ -403,12 +414,12 @@ def _partition_search(
             added = try_place(v, bi)
             if added is not None:
                 blocks[bi].append(v)
-                yield search(idx + 1)
+                yield search(idx + 1, cursor)
                 blocks[bi].pop()
                 unplace(v, added)
             blocks.pop()
 
-    _run_nested(search(0))
+    _run_nested(search(0, 0))
     return best_blocks, nodes, out_of_budget
 
 
@@ -462,17 +473,16 @@ def chromatic_number(
     neighbours in one block with different kinds.  Vertices without
     neighbours are left out of the search and put into block 0 at the
     end.  The vertices of ``special_clique`` are placed first, each
-    straight into a new block.  After them the next vertex is the
-    unplaced one with the most forbidden blocks, then the highest
-    underlying degree, then the lowest index; only vertices with some
-    forbidden block are scanned, and when there are none the next
-    unplaced vertex of the static degree order is taken.  Blocks are
+    straight into a new block.  After them ``_partition_search`` takes
+    the unplaced vertex with the most forbidden blocks, then the highest
+    underlying degree, then the lowest index.  Blocks are
     tried existing ones first, so the first leaf is the greedy DSATUR
     coloring.  ``lower_hint`` and ``upper_hint`` must be certified bounds
     when given; the upper hint prunes, the lower hint allows early
     termination.  Each block considered for a vertex costs one node, a
     forbidden one too; when the budget runs out the best bounds and
-    partition so far are returned with ``exhausted`` set.
+    partition so far are returned with ``exhausted`` set.  Without
+    ``upper_hint`` there is always a witness, at worst the singletons.
     """
     n = graph.order
     if n == 0:
@@ -505,29 +515,10 @@ def chromatic_number(
     by_kind: list[dict[RelationKind, int]] = [{} for _ in range(limit)]
     members: list[list[int]] = [[] for _ in range(limit)]
     forbid = [0] * n
-    # An unplaced vertex with f forbidden blocks and degree d has the key
-    # base - f * step, so the least key has the most forbidden blocks,
-    # then the highest degree, then the lowest index, and key % n is the
-    # vertex.  ``narrowed`` holds the keys of those with f > 0.
-    width = max(map(len, adj)) + 1
-    step = width * n
-    base = [((n + 1) * width - len(adj[v])) * n + v for v in range(n)]
-    narrowed: dict[int, int] = {}
-    # ahead[idx]: every vertex before this position of ``order`` is placed
-    # throughout the subtree of the current node at depth idx.
-    ahead = [0] * (m + 1)
-
-    def pick(idx: int) -> int:
-        if idx < len(seeds):
-            return seeds[idx]
-        if narrowed:
-            ahead[idx + 1] = ahead[idx]
-            return min(narrowed.values()) % n
-        i = ahead[idx]
-        while block_of[order[i]] >= 0:
-            i += 1
-        ahead[idx + 1] = i + 1
-        return order[i]
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    narrowed: dict[int, int] = {}  # the pick keys of ``_partition_search``
 
     def toggle(a: int, c: int, kind: RelationKind, dual: RelationKind) -> None:
         """Join blocks a and c by ``kind`` seen from a, or undo that join."""
@@ -576,7 +567,7 @@ def chromatic_number(
             b &= ~old
             if b:
                 forbid[u] = old | b
-                narrowed[u] = (narrowed[u] if old else base[u]) - b.bit_count() * step
+                narrowed[u] = (m - forbid[u].bit_count()) * m + rank[u]
                 trail.append((u, b))
         return added, trail
 
@@ -591,14 +582,14 @@ def chromatic_number(
             old = forbid[u] ^ b
             forbid[u] = old
             if old:
-                narrowed[u] += b.bit_count() * step
+                narrowed[u] = (m - old.bit_count()) * m + rank[u]
             else:
                 del narrowed[u]
         if forbid[v]:
-            narrowed[v] = base[v] - forbid[v].bit_count() * step
+            narrowed[v] = (m - forbid[v].bit_count()) * m + rank[v]
 
     best_blocks, nodes, out_of_budget = _partition_search(
-        m, pick, try_place, unplace, lower, limit, budget, opened=len(seeds)
+        order, seeds, narrowed, block_of, try_place, unplace, lower, limit, budget
     )
     if best_blocks is None and not out_of_budget:
         raise ValueError(

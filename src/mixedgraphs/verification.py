@@ -346,13 +346,19 @@ def criterion_5() -> tuple[bool, str]:
         failure = check_acyclic_coloring(g, result.colors)
         if failure is not None:
             return False, f"corpus graph {index}: coloring rejected: {failure}"
+        for i, layer in enumerate(result.layers):
+            if not layer.exact:
+                return False, (
+                    f"corpus graph {index}: layer {i} search ran out of budget "
+                    f"with bounds [{layer.lower}, {layer.upper}]"
+                )
         arb, _ = nash_williams_density(g)
         if result.forest_count != arb:
             return False, (
                 f"corpus graph {index}: pipeline used {result.forest_count} "
                 f"forests, arboricity {arb}"
             )
-        k = max(result.layer_chromatics)
+        k = max(layer.k for layer in result.layers)
         r = max(arb, 1)
         allowed = k ** ((r - 1).bit_length() + 1)
         if result.palette > allowed:

@@ -17,3 +17,16 @@ def test_criterion(number, capsys):
     with capsys.disabled():
         print(outcome.line())
     assert outcome.passed, outcome.line()
+
+
+def test_criterion_5_refuses_a_pipeline_whose_layer_ran_out(monkeypatch):
+    # A cut layer search still yields an audited coloring, but the palette
+    # bound needs proven layer values, so the criterion must fail and say
+    # which layer ran out.
+    pipeline = verification.acyclic_from_homomorphisms
+    monkeypatch.setattr(
+        verification, "acyclic_from_homomorphisms", lambda g: pipeline(g, hom_budget=1)
+    )
+    passed, detail = verification.criterion_5()
+    assert not passed
+    assert "layer 0 search ran out of budget with bounds [" in detail

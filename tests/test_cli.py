@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,20 @@ def test_digit_layers_and_pipeline(c5, tmp_path, capsys):
     assert run(["acyclic-pipeline", c5, "-o", out]) == 0
     assert "palette" in capsys.readouterr().out
     assert run(["acyclic", out, "--check"]) == 0
+
+
+def test_exhausted_pipeline_writes_a_coloring_that_rechecks(tmp_path, capsys):
+    # Layer searches cut by the budget still hand over their best
+    # partitions: exit 3 with each layer's bounds, and the -o witness
+    # re-verifies from its file alone.
+    dense = str(Path(__file__).resolve().parent / "golden" / "dense.mg")
+    out = str(tmp_path / "colored.mg")
+    argv = ["acyclic-pipeline", dense, "--budget", "40", "-o", out, "--format", "records"]
+    assert run(argv) == 3
+    record = _records(capsys)[0]
+    assert record["layer_bounds"] == [[5, 12], [5, 7], [6, 12]]
+    assert run(["acyclic", out, "--check", "--format", "records"]) == 0
+    assert _records(capsys)[0]["valid"]
 
 
 def test_pipeline_accepts_forest_file(c5, tmp_path, capsys):

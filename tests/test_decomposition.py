@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedgraphs import (
-    BudgetExceededError,
     ColorSignature,
     ForestDecomposition,
     MixedGraph,
@@ -443,12 +442,13 @@ def test_pipeline_on_named_graphs():
     g = directed_cycle(5)
     result = acyclic_from_homomorphisms(g)
     assert check_acyclic_coloring(g, result.colors) is None
-    k = max(result.layer_chromatics)
-    assert result.palette <= k ** (result.digit_count + 1)
+    assert result.exact
+    k = max(layer.k for layer in result.layers)
+    assert result.palette <= k ** len(result.layers)
     tree = directed_path(6)
     result = acyclic_from_homomorphisms(tree)
     assert result.forest_count == 1
-    assert result.palette <= result.layer_chromatics[0]
+    assert result.palette <= result.layers[0].k
 
 
 def test_pipeline_accepts_an_explicit_decomposition():
@@ -468,19 +468,28 @@ def test_pipeline_random_corpus():
         g = _random_digraph(rng, rng.randint(2, 8), rng.choice((0.3, 0.6, 0.9)))
         result = acyclic_from_homomorphisms(g)
         assert check_acyclic_coloring(g, result.colors) is None
-        k = max(result.layer_chromatics)
+        k = max(layer.k for layer in result.layers)
         r = result.forest_count
         assert result.palette <= k ** ((max(r, 1) - 1).bit_length() + 1)
 
 
 def test_pipeline_budget_propagates():
+    # A layer search that runs out of budget still hands over its best
+    # partition, so the pipeline returns an audited coloring, marked
+    # inexact, with each layer's certified bounds.
     rng = random.Random(8)
     g = MixedGraph(ColorSignature(0, 2), 7)
     for u in range(7):
         for v in range(u + 1, 7):
             g.add_edge(u, v, rng.randint(1, 2))
-    with pytest.raises(BudgetExceededError):
-        acyclic_from_homomorphisms(g, hom_budget=2)
+    result = acyclic_from_homomorphisms(g, hom_budget=2)
+    assert not result.exact
+    assert any(layer.exhausted for layer in result.layers)
+    assert check_acyclic_coloring(g, result.colors) is None
+    assert result.palette == len(set(result.colors.values()))
+    assert result.palette <= math.prod(layer.upper for layer in result.layers)
+    for layer in result.layers:
+        assert layer.lower <= layer.upper == layer.witness.k
 
 
 def test_pipeline_colors_every_vertex_once():

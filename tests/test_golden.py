@@ -57,6 +57,8 @@ COMMANDS = {
     "acyclic-pipeline-mixed": "acyclic-pipeline mixed.mg -o -",
     "acyclic-pipeline-mixed-records": "acyclic-pipeline mixed.mg --format records",
     "acyclic-pipeline-dense": "acyclic-pipeline dense.mg",
+    "acyclic-pipeline-budget": "acyclic-pipeline dense.mg --budget 40",
+    "acyclic-pipeline-budget-records": "acyclic-pipeline dense.mg --budget 40 --format records",
     "arb-c5": "arb c5.mg -o -",
     "arb-mixed": "arb mixed.mg",
     "arb-mixed-records": "arb mixed.mg --format records",

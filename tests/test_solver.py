@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from mixedgraphs import (
     ColorSignature,
     MixedGraph,
     Partition,
+    acyclic_chromatic_number,
     build_hk,
     check_homomorphism,
     check_partition,
@@ -262,6 +264,27 @@ def test_chromatic_search_nodes_and_witness_are_pinned():
     cut = chromatic_number(b, budget=42)
     assert (cut.lower, cut.upper, cut.nodes, cut.exhausted) == (4, 6, 43, True)
     assert cut.witness == result.witness
+
+
+def test_partition_search_order_is_pinned_on_a_seeded_corpus():
+    # 100 seeded graphs of order 8-40 and 1-3 relations per vertex, each
+    # searched by both partition searches, to the end and with a 60-node
+    # budget: a digest of every (lower, upper, nodes, witness) guards the
+    # vertex pick and the block order beyond the graphs pinned above.
+    rng = random.Random(1313)
+    digest = hashlib.sha256()
+    for _ in range(100):
+        n = rng.randint(8, 40)
+        m = rng.randint(n, 3 * n)
+        g = seeded_graph(rng.choice(SIGNATURES), n, m, rng.randrange(10**6))
+        for search in (chromatic_number, acyclic_chromatic_number):
+            for result in (search(g), search(g, budget=60)):
+                digest.update(
+                    repr((result.lower, result.upper, result.nodes, result.witness.blocks)).encode()
+                )
+    assert digest.hexdigest() == (
+        "3f5be87e161f690e30f153a3da07364832bcac1ba7ece6467cc8f4e6a954a5b7"
+    )
 
 
 @pytest.mark.parametrize(
