@@ -19,7 +19,7 @@ from typing import Iterable
 
 from . import bounds as bounds_mod
 from . import fileio, verification
-from .core import ColorSignature
+from .core import ColorSignature, _require_per_vertex
 from .constructions import build_hk, build_special_gadget, hk_acyclic_coloring
 from .decomposition import (
     ForestDecomposition,
@@ -115,17 +115,6 @@ def _sidecar(args: argparse.Namespace, doc: fileio.GraphDocument, lines: str) ->
     return found
 
 
-def _per_vertex(assignment: dict[int, int], order: int, noun: str) -> dict[int, int]:
-    """A witness naming exactly the vertices 0..order-1; else an input error."""
-    for v in range(order):
-        if v not in assignment:
-            raise ValueError(f"{noun} misses vertex {v}")
-    if len(assignment) > order:
-        extra = min(v for v in assignment if not 0 <= v < order)
-        raise ValueError(f"{noun} names vertex {extra} out of range")
-    return assignment
-
-
 def _emit_search(args, doc, result: ChromaticResult, title: str, first_color: int) -> int:
     """Emit an exact result with its witness coloring, or exhausted bounds."""
     out = _Output(args)
@@ -197,7 +186,8 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     doc = _read_document(args.graph)
     out = _Output(args)
     if args.check is not None:
-        coloring = _per_vertex(_sidecar(args, doc, "color"), doc.graph.order, "coloring")
+        coloring = _sidecar(args, doc, "color")
+        _require_per_vertex(coloring, doc.graph.order, "coloring")
         partition = Partition.from_coloring(coloring)
         failure = check_partition(doc.graph, partition)
         return out.verdict("partition", failure, f"{partition.k} classes", k=partition.k)
@@ -223,7 +213,8 @@ def _cmd_hom(args: argparse.Namespace) -> int:
     out = _Output(args)
     if args.check is not None:
         text = Path(args.check).read_text() if args.check != "-" else sys.stdin.read()
-        mapping = _per_vertex(fileio.loads_mapping(text), source.order, "map")
+        mapping = fileio.loads_mapping(text)
+        _require_per_vertex(mapping, source.order, "map")
         failure = check_homomorphism(
             source, target, [mapping[v] for v in range(source.order)]
         )

@@ -192,6 +192,22 @@ def require_rich_signature(signature: ColorSignature) -> None:
         )
 
 
+def _require_same_signature(source: MixedGraph, target: MixedGraph) -> None:
+    """Reject a map between graphs of different signatures."""
+    if source.signature != target.signature:
+        raise ValueError(f"signature mismatch: {source.signature} vs {target.signature}")
+
+
+def _require_per_vertex(assignment: Mapping[int, int], order: int, noun: str) -> None:
+    """Reject a witness that misses a vertex 0..order-1 or names another."""
+    for v in range(order):
+        if v not in assignment:
+            raise ValueError(f"{noun} misses vertex {v}")
+    if len(assignment) > order:
+        extra = min(v for v in assignment if not 0 <= v < order)
+        raise ValueError(f"{noun} names vertex {extra} out of range")
+
+
 class MixedGraph:
     """A colored mixed graph on vertices 0..order-1.
 

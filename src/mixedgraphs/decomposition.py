@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .bounds import ceil_log
-from .core import ColorSignature, MixedGraph, degeneracy_ordering, require_rich_signature
+from .core import (
+    ColorSignature,
+    MixedGraph,
+    _require_per_vertex,
+    degeneracy_ordering,
+    require_rich_signature,
+)
 from .solver import ChromaticResult, Partition, _partition_search, chromatic_number
 
 
@@ -242,12 +248,7 @@ def check_acyclic_coloring(graph: MixedGraph, coloring: Mapping[int, int]) -> st
     A coloring that misses some vertex or names one outside 0..order-1
     is an input error, not a violation.
     """
-    for v in range(graph.order):
-        if v not in coloring:
-            raise ValueError(f"coloring misses vertex {v}")
-    if len(coloring) > graph.order:
-        extra = min(v for v in coloring if not 0 <= v < graph.order)
-        raise ValueError(f"coloring names vertex {extra} out of range")
+    _require_per_vertex(coloring, graph.order, "coloring")
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for u, v, _ in graph.relations():
         a, b = coloring[u], coloring[v]
@@ -305,46 +306,37 @@ def _forest_count_bound(graph: MixedGraph) -> int:
 def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> ChromaticResult:
     """Exact acyclic chromatic number of the underlying graph.
 
-    The partition branch and bound of ``chromatic_number``, with forward
-    checking.  A vertex may not join a block holding a neighbor, nor
-    close a cycle in the union of two blocks: a union-find per pair of
-    blocks (union by size, no path compression) holds their forest, and
-    backtracking undoes its links.  Each unplaced vertex u keeps a
-    bitmask of the blocks it may not join: those holding a neighbor, and
-    each block a such that two placed neighbors of u in one block c are
-    already joined in the forest of (a, c).  A placement updates the
-    masks of its unplaced neighbors and re-checks the second rule only
-    for vertices with two placed neighbors in one block, and only in the
-    forests it linked; unplacing restores them.  ``_partition_search``
-    takes the unplaced vertex with the most forbidden blocks next, then
-    the earlier in descending degree order.  The union-find still
-    refuses a cycle the masks missed.  The lower bound is 3 when the
-    graph has a cycle, since two colors would make it bichromatic, or
-    the forest-count bound of ``_forest_count_bound`` when higher.  Each
-    block considered costs one node, a forbidden one
-    too; when the budget runs out, the best coloring found (singletons
-    if none) is the witness and attains upper.  Witness blocks are in
-    color order.
+    ``_partition_search`` runs the search, in descending degree order,
+    and keeps the masks of forbidden blocks; this function supplies the
+    rule.  A vertex may not join a block holding a neighbor, nor close a
+    cycle in the union of two blocks: a union-find per pair of blocks
+    (union by size, no path compression) holds their forest, and
+    backtracking undoes its links.  Placing v into block b bans b for
+    v's unplaced neighbors, and bans each block a for an unplaced u with
+    two placed neighbors in one block c that are now joined in the
+    forest of (a, c); that rule is re-checked only for such u and only
+    in the forests the placement linked.  The union-find still refuses a
+    cycle the masks missed.  The lower bound is 3 when the graph has a
+    cycle, since two colors would make it bichromatic, or the
+    forest-count bound of ``_forest_count_bound`` when higher.  When the
+    budget runs out, the best coloring found (singletons if none) is the
+    witness and attains upper.  Witness blocks are in color order.
     """
     n = graph.order
     cyclic = _induced_cycle(set(range(n)), graph) is not None
     static = 3 if cyclic else 2 if graph.e_count > 0 else 1
     lower = max(static, _forest_count_bound(graph))
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    rank = [0] * n
-    for i, v in enumerate(order):
-        rank[v] = i
     adj = [list(graph.neighbors(v)) for v in range(n)]
     block_of = [-1] * n
+    forbid = [0] * n
     # Vertex x of the forest of blocks a < b is the key (a * n + b) * n + x.
     up: dict[int, int] = {}
     size: dict[int, int] = {}
-    forbid = [0] * n
     # near[u][c]: the placed neighbors of unplaced u in block c, in placement
     # order; crowded[u]: how many of those lists hold two or more.
     near: list[dict[int, list[int]]] = [{} for _ in range(n)]
     crowded: dict[int, int] = {}
-    narrowed: dict[int, int] = {}  # the pick keys of ``_partition_search``
 
     def root(key: int) -> int:
         while key in up:
@@ -361,84 +353,60 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
         pair = (a * n + c if a < c else c * n + a) * n
         return len({root(pair + w) for w in group}) < len(group)
 
-    def try_place(
-        v: int, b: int
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
-        if forbid[v] >> b & 1:
-            return None
+    def place(v: int, b: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
         links: list[tuple[int, int]] = []
         linked: set[int] = set()  # the blocks c whose forest (b, c) gains links
         for w in adj[v]:
             c = block_of[w]
             if c < 0:
                 continue
-            if c == b:
-                break
+            # c != b: a placed neighbor's block is in forbid[v]
             pair = (b * n + c if b < c else c * n + b) * n
             rv, rw = root(pair + v), root(pair + w)
             if rv == rw:
-                break
+                cut(links)
+                return None
             if size.get(rv, 1) > size.get(rw, 1):
                 rv, rw = rw, rv
             up[rv] = rw
             size[rw] = size.get(rw, 1) + size.get(rv, 1)
             links.append((rv, rw))
             linked.add(c)
-        else:
-            block_of[v] = b
-            narrowed.pop(v, None)
-            bit = 1 << b
-            trail: list[tuple[int, int]] = []  # (u, its mask before this placement)
-            for u in adj[v]:
-                if block_of[u] >= 0:
+        bit = 1 << b
+        bans: list[tuple[int, int]] = []
+        for u in adj[v]:
+            if block_of[u] >= 0:
+                continue
+            group = near[u].setdefault(b, [])
+            group.append(v)
+            if len(group) == 2:
+                crowded[u] = crowded.get(u, 0) + 1
+            bans.append((u, bit))
+        for u in crowded:
+            if block_of[u] >= 0:
+                continue
+            mask = old = forbid[u]
+            for c, group in near[u].items():
+                if len(group) < 2:
                     continue
-                group = near[u].setdefault(b, [])
-                group.append(v)
-                if len(group) == 2:
-                    crowded[u] = crowded.get(u, 0) + 1
-                if not forbid[u] & bit:
-                    trail.append((u, forbid[u]))
-                    forbid[u] |= bit
-            for u in crowded:
-                if block_of[u] >= 0:
+                # only a forest (b, c') that just gained links can have
+                # joined two of the group
+                if c == b:
+                    others = linked
+                elif c in linked:
+                    others = {b}
+                else:
                     continue
-                mask = old = forbid[u]
-                for c, group in near[u].items():
-                    if len(group) < 2:
-                        continue
-                    # only a forest (b, c') that just gained links can have
-                    # joined two of the group
-                    if c == b:
-                        others = linked
-                    elif c in linked:
-                        others = {b}
-                    else:
-                        continue
-                    for a in others:
-                        if not mask >> a & 1 and joined(a, c, group):
-                            mask |= 1 << a
-                if mask != old:
-                    trail.append((u, old))
-                    forbid[u] = mask
-            for u, _ in trail:
-                narrowed[u] = (n - forbid[u].bit_count()) * n + rank[u]
-            return links, trail
-        cut(links)
-        return None
+                for a in others:
+                    if not mask >> a & 1 and joined(a, c, group):
+                        mask |= 1 << a
+            if mask != old:
+                bans.append((u, mask))
+        return links, bans
 
-    def unplace(
-        v: int, undo: tuple[list[tuple[int, int]], list[tuple[int, int]]]
-    ) -> None:
-        links, trail = undo
+    def unplace(v: int, links: list[tuple[int, int]]) -> None:
         b = block_of[v]
-        block_of[v] = -1
         cut(links)
-        for u, old in reversed(trail):
-            forbid[u] = old
-            if old:
-                narrowed[u] = (n - old.bit_count()) * n + rank[u]
-            else:
-                del narrowed[u]
         for u in adj[v]:
             if block_of[u] >= 0:
                 continue
@@ -450,11 +418,9 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
                     del crowded[u]
             elif not group:
                 del near[u][b]
-        if forbid[v]:
-            narrowed[v] = (n - forbid[v].bit_count()) * n + rank[v]
 
     best, nodes, out_of_budget = _partition_search(
-        order, (), narrowed, block_of, try_place, unplace, lower, n, budget
+        order, (), block_of, forbid, [], place, unplace, lower, n, budget
     )
     if best is not None:
         witness = Partition(tuple(tuple(sorted(block)) for block in best))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
 
-from .core import MixedGraph, RelationKind, special_pairs
+from .core import MixedGraph, RelationKind, _require_same_signature, special_pairs
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,7 @@ def check_homomorphism(
     color.  Mismatched signatures or a non-total map are input errors,
     not violations.
     """
-    if source.signature != target.signature:
-        raise ValueError(
-            f"signature mismatch: {source.signature} vs {target.signature}"
-        )
+    _require_same_signature(source, target)
     if len(mapping) != source.order:
         raise ValueError(
             f"mapping has {len(mapping)} entries for {source.order} vertices"
@@ -109,10 +106,7 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
     degree of its vertex plus that frontier rather than a pass over the
     whole source.
     """
-    if source.signature != target.signature:
-        raise ValueError(
-            f"signature mismatch: {source.signature} vs {target.signature}"
-        )
+    _require_same_signature(source, target)
     ns, nt = source.order, target.order
     if ns == 0:
         return Homomorphism(0, nt, ())
@@ -337,9 +331,10 @@ def _greedy_clique(adj: list[set[int]]) -> set[int]:
 def _partition_search(
     order: Sequence[int],
     seeds: Sequence[int],
-    narrowed: dict[int, int],
     block_of: list[int],
-    try_place: Callable[[int, int], object | None],
+    forbid: list[int],
+    blocks: list[list[int]],
+    place: Callable[[int, int], tuple[object, list[tuple[int, int]]] | None],
     unplace: Callable[[int, object], None],
     lower: int,
     cap: int,
@@ -347,25 +342,38 @@ def _partition_search(
 ) -> tuple[tuple[tuple[int, ...], ...] | None, int, bool]:
     """Branch and bound over partitions of ``order`` into at most ``cap`` blocks.
 
-    The ``seeds`` are placed first, in turn, each straight into a new
-    block.  After them the next vertex is the unplaced one with the most
-    forbidden blocks, then the earliest in ``order``: ``narrowed`` maps
-    each unplaced vertex u with f > 0 forbidden blocks to the key
-    (n - f) * n + i, where n = len(order) and u = order[i], and the least
-    key wins.  When ``narrowed`` is empty the next vertex is the first
-    unplaced one of ``order``; ``block_of[v]`` is negative exactly when v
-    is unplaced.  The caller's ``try_place`` and ``unplace`` keep all
-    three up to date.  A vertex is tried in the existing blocks first and
-    then in a new one.  ``try_place(v, b)`` puts v into block b and
-    returns what ``unplace`` needs to undo it, or None when the caller's
-    constraint forbids it.  Each block considered costs one node, a
-    rejected one too.  Only leaves with fewer blocks than the best so far
-    are reached, so the first optimal leaf is kept; one with ``lower``
-    blocks ends the search.  Returns the best blocks (if any), the node
-    count and whether the budget ran out.
+    The search owns three pieces of state that the caller reads:
+    ``block_of[v]`` is v's block (negative while v is unplaced),
+    ``blocks[b]`` lists the vertices of block b in placement order, and
+    bit b of ``forbid[u]`` says that unplaced u may not join block b.
+    All three start empty (-1, [], 0) and are left so.  The ``seeds`` are placed
+    first, in turn, each straight into a new block.  After them the next
+    vertex is the unplaced one with the most forbidden blocks, then the
+    earliest in ``order`` (Brélaz's DSATUR pick): each unplaced vertex u
+    with f > 0 forbidden blocks is keyed (n - f) * n + i, where
+    n = len(order) and u = order[i], and the least key wins; with none
+    forbidden anywhere, the first unplaced vertex of ``order``.
+
+    A vertex v is tried in the existing blocks first and then in a new
+    one; each block considered costs one node, a refused one too.  A
+    block in ``forbid[v]`` is refused at once.  Otherwise v goes into
+    ``block_of`` and ``blocks`` and the caller's ``place(v, b)`` applies
+    its own rule: it returns None to refuse, having undone its own
+    changes, or a pair of what ``unplace(v, ...)`` needs to undo them and
+    a list of bans (u, bits) for unplaced vertices u.  The search sets
+    those bits in ``forbid`` (forward checking after Haralick and
+    Elliott), keeps the bits it newly set on a trail, and after the
+    subtree calls ``unplace`` while v is still in its block, then
+    clears the trail's bits and takes v out.  Only leaves with fewer
+    blocks than the best so far are reached, so the first optimal leaf is
+    kept; one with ``lower`` blocks ends the search.  Returns the best
+    blocks (if any), the node count and whether the budget ran out.
     """
     n = len(order)
-    blocks: list[list[int]] = []
+    rank = [0] * len(block_of)
+    for i, v in enumerate(order):
+        rank[v] = i
+    narrowed: dict[int, int] = {}  # the pick key of each u with forbid[u] != 0
     bound = cap + 1  # blocks of the best leaf so far, or cap + 1
     best_blocks: tuple[tuple[int, ...], ...] | None = None
     nodes = 0
@@ -391,33 +399,47 @@ def _partition_search(
                 cursor += 1
             v = order[cursor]
             cursor += 1
-        for bi in range(first, len(blocks)):
+        held = narrowed.pop(v, None)
+        for bi in range(first, len(blocks) + 1):
+            new = bi == len(blocks)
+            if new and bi + 1 >= bound:
+                break
             nodes += 1
             if nodes > budget:
                 out_of_budget = True
-                return
-            added = try_place(v, bi)
-            if added is not None:
-                blocks[bi].append(v)
+                break
+            if forbid[v] >> bi & 1:
+                continue
+            if new:
+                blocks.append([])
+            block_of[v] = bi
+            blocks[bi].append(v)
+            placed = place(v, bi)
+            if placed is not None:
+                undo, bans = placed
+                trail = []  # (u, the bits of forbid[u] this placement set)
+                for u, bits in bans:
+                    bits &= ~forbid[u]
+                    if bits:
+                        forbid[u] |= bits
+                        narrowed[u] = (n - forbid[u].bit_count()) * n + rank[u]
+                        trail.append((u, bits))
                 yield search(idx + 1, cursor)
-                blocks[bi].pop()
-                unplace(v, added)
-                if out_of_budget or bound == lower or len(blocks) >= bound:
-                    return
-        if len(blocks) + 1 < bound:
-            nodes += 1
-            if nodes > budget:
-                out_of_budget = True
-                return
-            bi = len(blocks)
-            blocks.append([])
-            added = try_place(v, bi)
-            if added is not None:
-                blocks[bi].append(v)
-                yield search(idx + 1, cursor)
-                blocks[bi].pop()
-                unplace(v, added)
-            blocks.pop()
+                unplace(v, undo)
+                for u, bits in trail:
+                    forbid[u] ^= bits
+                    if forbid[u]:
+                        narrowed[u] = (n - forbid[u].bit_count()) * n + rank[u]
+                    else:
+                        del narrowed[u]
+            block_of[v] = -1
+            blocks[bi].pop()
+            if new:
+                blocks.pop()
+            if out_of_budget or bound == lower or len(blocks) >= bound:
+                break
+        if held is not None:
+            narrowed[v] = held
 
     _run_nested(search(0, 0))
     return best_blocks, nodes, out_of_budget
@@ -458,30 +480,25 @@ def chromatic_number(
 ) -> ChromaticResult:
     """Exact chromatic number by DSATUR branch and bound over partitions.
 
-    Two vertices that are adjacent or joined by a special 2-path never
-    share a block, and by the block-pair kind rule a vertex u with a
-    placed neighbour w in block a may not join a block c that is already
-    joined to a by a kind other than u's relation to w.  Each unplaced
-    vertex keeps a bitmask of the blocks these rules forbid (Brélaz's
-    saturation, with special-pair partners as must-differ constraints,
-    and forward checking after Haralick and Elliott).  A placement of v
-    into block b forbids b for v's neighbours and partners, forbids for
-    each neighbour every block joined to b by another kind, and checks
-    each join it creates against the neighbours of both blocks' members;
-    a trail of the bits it set undoes it.  The join check of a placement
-    stays as the safety net for what the masks miss, such as two placed
-    neighbours in one block with different kinds.  Vertices without
-    neighbours are left out of the search and put into block 0 at the
-    end.  The vertices of ``special_clique`` are placed first, each
-    straight into a new block.  After them ``_partition_search`` takes
-    the unplaced vertex with the most forbidden blocks, then the highest
-    underlying degree, then the lowest index.  Blocks are
-    tried existing ones first, so the first leaf is the greedy DSATUR
-    coloring.  ``lower_hint`` and ``upper_hint`` must be certified bounds
-    when given; the upper hint prunes, the lower hint allows early
-    termination.  Each block considered for a vertex costs one node, a
-    forbidden one too; when the budget runs out the best bounds and
-    partition so far are returned with ``exhausted`` set.  Without
+    ``_partition_search`` runs the search, in descending underlying
+    degree order, and keeps the masks of forbidden blocks; this function
+    supplies the rule.  Two vertices that are adjacent or joined by a
+    special 2-path never share a block (special-pair partners are
+    must-differ constraints), and by the block-pair kind rule a vertex u
+    with a placed neighbour w in block a may not join a block c that is
+    already joined to a by a kind other than u's relation to w.  Placing
+    v into block b bans b for v's neighbours and partners, bans for each
+    neighbour every block joined to b by another kind, and checks each
+    join it creates against the neighbours of both blocks' members.  The
+    join check of a placement stays as the safety net for what the masks
+    miss, such as two placed neighbours in one block with different
+    kinds.  Vertices without neighbours are left out of the search and
+    put into block 0 at the end.  The vertices of ``special_clique`` are
+    placed first, each straight into a new block, and the first leaf is
+    the greedy DSATUR coloring.  ``lower_hint`` and ``upper_hint`` must
+    be certified bounds when given; the upper hint prunes, the lower hint
+    allows early termination.  When the budget runs out the best bounds
+    and partition so far are returned with ``exhausted`` set.  Without
     ``upper_hint`` there is always a witness, at worst the singletons.
     """
     n = graph.order
@@ -508,17 +525,12 @@ def chromatic_number(
     order = sorted(core, key=lambda v: (-len(adj[v]), v))
     # a one-vertex clique forces nothing, and its vertex may have no neighbour
     seeds = [v for v in order if v in clique] if len(clique) > 1 else []
-    block_of = [-1] * n
     # Block a is joined to the blocks in the bitmask linked[a]; bit c of
     # by_kind[a][kind] is set when the relations from a to c have that kind.
     linked = [0] * limit
     by_kind: list[dict[RelationKind, int]] = [{} for _ in range(limit)]
-    members: list[list[int]] = [[] for _ in range(limit)]
-    forbid = [0] * n
-    rank = [0] * n
-    for i, v in enumerate(order):
-        rank[v] = i
-    narrowed: dict[int, int] = {}  # the pick keys of ``_partition_search``
+    block_of = [-1] * n
+    blocks: list[list[int]] = []
 
     def toggle(a: int, c: int, kind: RelationKind, dual: RelationKind) -> None:
         """Join blocks a and c by ``kind`` seen from a, or undo that join."""
@@ -527,9 +539,7 @@ def chromatic_number(
         by_kind[a][kind] = by_kind[a].get(kind, 0) ^ 1 << c
         by_kind[c][dual] = by_kind[c].get(dual, 0) ^ 1 << a
 
-    def try_place(v: int, bi: int) -> tuple[list, list[tuple[int, int]]] | None:
-        if forbid[v] >> bi & 1:
-            return None
+    def place(v: int, bi: int) -> tuple[list, list[tuple[int, int]]] | None:
         row = by_kind[bi]
         added: list[tuple[int, RelationKind, RelationKind]] = []  # new joins
         for w, rel, dual in adj[v]:
@@ -545,8 +555,6 @@ def chromatic_number(
                 continue
             toggle(bi, bj, rel, dual)
             added.append((bj, rel, dual))
-        block_of[v] = bi
-        narrowed.pop(v, None)
         bit = 1 << bi
         bans = [(w, bit) for w in partners_only[v] if block_of[w] < 0]
         # the kind rule for v's neighbours, then for each new join (bi, a)
@@ -556,40 +564,19 @@ def chromatic_number(
         ]
         for a, rel, dual in added:
             abit = 1 << a
-            for x in members[bi]:
+            # blocks[bi] holds v too; those bans repeat the kind rule's
+            for x in blocks[bi]:
                 bans += [(u, abit) for u, r, _ in adj[x] if r is not rel and block_of[u] < 0]
-            for y in members[a]:
+            for y in blocks[a]:
                 bans += [(u, bit) for u, r, _ in adj[y] if r is not dual and block_of[u] < 0]
-        members[bi].append(v)
-        trail: list[tuple[int, int]] = []  # (vertex, the bits this placement set)
-        for u, b in bans:
-            old = forbid[u]
-            b &= ~old
-            if b:
-                forbid[u] = old | b
-                narrowed[u] = (m - forbid[u].bit_count()) * m + rank[u]
-                trail.append((u, b))
-        return added, trail
+        return added, bans
 
-    def unplace(v: int, undo: tuple[list, list[tuple[int, int]]]) -> None:
-        added, trail = undo
-        bi = block_of[v]
-        block_of[v] = -1
-        members[bi].pop()
+    def unplace(v: int, added: list) -> None:
         for join in added:
-            toggle(bi, *join)
-        for u, b in trail:
-            old = forbid[u] ^ b
-            forbid[u] = old
-            if old:
-                narrowed[u] = (m - old.bit_count()) * m + rank[u]
-            else:
-                del narrowed[u]
-        if forbid[v]:
-            narrowed[v] = (m - forbid[v].bit_count()) * m + rank[v]
+            toggle(block_of[v], *join)
 
     best_blocks, nodes, out_of_budget = _partition_search(
-        order, seeds, narrowed, block_of, try_place, unplace, lower, limit, budget
+        order, seeds, block_of, [0] * n, blocks, place, unplace, lower, limit, budget
     )
     if best_blocks is None and not out_of_budget:
         raise ValueError(

@@ -19,6 +19,7 @@ from .core import (
     MixedGraph,
     PropertySpec,
     RelationKind,
+    _require_same_signature,
     degeneracy_ordering,
 )
 from .solver import Homomorphism, check_homomorphism
@@ -262,10 +263,7 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
     audited again by ``check_homomorphism``.
     """
     tg = target.graph
-    if graph.signature != tg.signature:
-        raise ValueError(
-            f"signature mismatch: {graph.signature} vs {tg.signature}"
-        )
+    _require_same_signature(graph, tg)
     degeneracy, order = degeneracy_ordering(graph)
     masks = target.kind_masks
     everything = (1 << tg.order) - 1
@@ -345,10 +343,7 @@ def extend_regular(
     verified homomorphism of the full graph into it.
     """
     tg = target.graph
-    if graph.signature != tg.signature:
-        raise ValueError(
-            f"signature mismatch: {graph.signature} vs {tg.signature}"
-        )
+    _require_same_signature(graph, tg)
     if graph.order < 2 or graph.e_count == 0:
         raise ValueError("need a graph with at least one relation")
     degrees = {graph.degree(v) for v in range(graph.order)}

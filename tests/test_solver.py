@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mixedgraphs import (
     ColorSignature,
+    CompleteMixedTarget,
     MixedGraph,
     Partition,
     acyclic_chromatic_number,
@@ -15,13 +16,16 @@ from mixedgraphs import (
     check_partition,
     chromatic_number,
     digit_graphs,
+    extend_regular,
     find_homomorphism,
     greedy_forests,
+    greedy_homomorphism,
     paley_tournament,
     quotient,
     sample_complete,
     special_clique,
 )
+from mixedgraphs.solver import _partition_search
 from strategies import (
     SIGNATURES,
     complete_graph,
@@ -172,9 +176,23 @@ def test_find_homomorphism_known_cases():
     assert check_homomorphism(directed_path(4), directed_cycle(5), hom.mapping) is None
 
 
-def test_find_homomorphism_signature_mismatch():
-    with pytest.raises(ValueError):
-        find_homomorphism(directed_path(2), complete_graph(2))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda s, t: check_homomorphism(s, t, [0, 1]), id="check_homomorphism"),
+        pytest.param(find_homomorphism, id="find_homomorphism"),
+        pytest.param(
+            lambda s, t: greedy_homomorphism(s, CompleteMixedTarget(t)),
+            id="greedy_homomorphism",
+        ),
+        pytest.param(
+            lambda s, t: extend_regular(s, CompleteMixedTarget(t)), id="extend_regular"
+        ),
+    ],
+)
+def test_signature_mismatch_is_an_input_error(entry):
+    with pytest.raises(ValueError, match=r"^signature mismatch: \(1,0\) vs \(0,1\)$"):
+        entry(directed_path(2), complete_graph(3))
 
 
 def test_find_homomorphism_can_collapse_non_adjacent_vertices():
@@ -285,6 +303,56 @@ def test_partition_search_order_is_pinned_on_a_seeded_corpus():
     assert digest.hexdigest() == (
         "3f5be87e161f690e30f153a3da07364832bcac1ba7ece6467cc8f4e6a954a5b7"
     )
+
+
+def _brute_force_chromatic_number(n: int, edges: list[tuple[int, int]]) -> int:
+    # vertex 0 takes color 0; a proper k-coloring of n >= 1 vertices exists for k = n
+    return next(
+        k
+        for k in range(1, n + 1)
+        if any(
+            all(c[u] != c[v] for u, v in edges)
+            for c in ((0, *rest) for rest in itertools.product(range(k), repeat=n - 1))
+        )
+    )
+
+
+def test_partition_engine_alone_finds_the_chromatic_number():
+    # The engine with a toy rule, plain proper coloring: placing v into
+    # block b bans b for v's unplaced neighbours, and nothing else needs
+    # undoing.  The engine itself must refuse the banned blocks, pick the
+    # vertices, and unwind block_of, forbid and blocks after every search,
+    # finished or cut by its budget.
+    rng = random.Random(1414)
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+        block_of, forbid, blocks = [-1] * n, [0] * n, []
+
+        def place(v, b):
+            return None, [(u, 1 << b) for u in adj[v] if block_of[u] < 0]
+
+        runs = []
+        for budget in (10**6, 5):
+            runs.append(
+                _partition_search(
+                    order, (), block_of, forbid, blocks, place, lambda v, undo: None, 1, n, budget
+                )
+            )
+            assert (block_of, forbid, blocks) == ([-1] * n, [0] * n, [])
+        (best, _, exhausted), cut = runs
+        assert not exhausted
+        assert sorted(v for block in best for v in block) == list(range(n))
+        color = {v: i for i, block in enumerate(best) for v in block}
+        assert all(color[u] != color[v] for u, v in edges)
+        assert len(best) == _brute_force_chromatic_number(n, edges)
+        if not cut[2]:
+            assert cut == runs[0]
 
 
 @pytest.mark.parametrize(
