@@ -131,7 +131,6 @@ def _emit_search(args, doc, result: ChromaticResult, title: str, first_color: in
             f"bounds [{result.lower}, {result.upper}]",
         )
         return BUDGET
-    assert result.witness is not None
     coloring = {v: b + first_color for v, b in result.witness.block_of().items()}
     lines = [f"{title} {result.k}"]
     lines.extend(_coloring_lines(out, coloring))
@@ -198,12 +197,7 @@ def _cmd_chi(args: argparse.Namespace) -> int:
             f"chromatic number >= {len(clique)} (special clique {clique})",
         )
         return OK
-    result = chromatic_number(
-        doc.graph,
-        lower_hint=args.lower_hint,
-        upper_hint=args.upper_hint,
-        budget=args.budget,
-    )
+    result = chromatic_number(doc.graph, budget=args.budget)
     return _emit_search(args, doc, result, "chromatic number", 0)
 
 
@@ -472,46 +466,49 @@ def _cmd_extend_regular(args: argparse.Namespace) -> int:
     return OK
 
 
+# the closed-form ``bounds`` subcommands: name -> (arity, help, function)
+_BOUNDS = {
+    "nr-upper": (2, "K P: chromatic bound k p^(k-1)", bounds_mod.nr_upper),
+    "planar-upper": (1, "P: chromatic bound 5 p^4", bounds_mod.planar_upper),
+    "arb-upper": (
+        2, "K P: arboricity bound ceil(log_p k + k/2)", bounds_mod.arb_upper_from_chi
+    ),
+    "acyclic-upper-arb": (
+        3, "K R P: acyclic bound k^(ceil_log(p,r)+1)", bounds_mod.acyclic_upper_from_arb
+    ),
+    "acyclic-upper-chi": (
+        2,
+        "K P: acyclic bound k^2 + k^(2+ceil(log_p log_p k))",
+        bounds_mod.acyclic_upper_from_chi,
+    ),
+    "degree": (2, "DELTA P: chromatic bounds from maximum degree", bounds_mod.degree_bounds),
+}
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     out = _Output(args)
     name = args.bound
-    if name == "nr-upper":
-        value = bounds_mod.nr_upper(args.params[0], args.params[1])
-    elif name == "planar-upper":
-        value = bounds_mod.planar_upper(args.params[0])
-    elif name == "arb-upper":
-        value = bounds_mod.arb_upper_from_chi(args.params[0], args.params[1])
-    elif name == "acyclic-upper-arb":
-        value = bounds_mod.acyclic_upper_from_arb(
-            args.params[0], args.params[1], args.params[2]
-        )
-    elif name == "acyclic-upper-chi":
-        value = bounds_mod.acyclic_upper_from_chi(
-            args.params[0], args.params[1], outer_log2=args.outer_log2
+    options = {"outer_log2": args.outer_log2} if "outer_log2" in args else {}
+    value = _BOUNDS[name][2](*args.params, **options)
+    if name == "degree":
+        fields = {
+            "lower": value.lower,
+            "lower_exact": value.lower_exact,
+            "upper": value.upper,
+            "upper_applies": value.upper_applies,
+        }
+        text = (
+            f"lower {value.lower}"
+            + (" (exact power)" if value.lower_exact else " (ceiling)")
+            + (
+                f", upper {value.upper}"
+                if value.upper is not None
+                else ", upper needs maximum degree >= 5"
+            )
         )
     else:
-        report = bounds_mod.degree_bounds(args.params[0], args.params[1])
-        out.emit(
-            {
-                "record": "bounds",
-                "bound": name,
-                "lower": report.lower,
-                "lower_exact": report.lower_exact,
-                "upper": report.upper,
-                "upper_applies": report.upper_applies,
-            },
-            f"lower {report.lower}"
-            + (" (exact power)" if report.lower_exact else " (ceiling)")
-            + (
-                f", upper {report.upper}"
-                if report.upper is not None
-                else ", upper needs maximum degree >= 5"
-            ),
-        )
-        return OK
-    out.emit(
-        {"record": "bounds", "bound": name, "value": value}, f"{name} = {value}"
-    )
+        fields, text = {"value": value}, f"{name} = {value}"
+    out.emit({"record": "bounds", "bound": name, **fields}, text)
     return OK
 
 
@@ -601,8 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi", help="exact chromatic number with witness partition")
     _add_graph(p)
     p.add_argument("--budget", type=_positive, default=10_000_000)
-    p.add_argument("--lower-hint", type=int, default=0)
-    p.add_argument("--upper-hint", type=int, default=None)
     p.add_argument(
         "--lower-only",
         action="store_true",
@@ -721,14 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="closed-form bound calculators")
     bounds_sub = p.add_subparsers(dest="bound", required=True)
-    for name, arity, helptext in (
-        ("nr-upper", 2, "K P: chromatic bound k p^(k-1)"),
-        ("planar-upper", 1, "P: chromatic bound 5 p^4"),
-        ("arb-upper", 2, "K P: arboricity bound ceil(log_p k + k/2)"),
-        ("acyclic-upper-arb", 3, "K R P: acyclic bound k^(ceil_log(p,r)+1)"),
-        ("acyclic-upper-chi", 2, "K P: acyclic bound k^2 + k^(2+ceil(log_p log_p k))"),
-        ("degree", 2, "DELTA P: chromatic bounds from maximum degree"),
-    ):
+    for name, (arity, helptext, _) in _BOUNDS.items():
         b = bounds_sub.add_parser(name, help=helptext)
         b.add_argument("params", nargs=arity, type=int, metavar="N")
         if name == "acyclic-upper-chi":

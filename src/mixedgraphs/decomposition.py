@@ -289,6 +289,13 @@ def _forest_count_bound(graph: MixedGraph) -> int:
     the degeneracy order, the cores left as minimum-degree vertices are
     peeled off; each prefix adds one vertex and its earlier neighbours,
     so the pass after the order is linear.
+
+    The bound is at least 2 with an edge, since k = 1 allows no edge.  It
+    is at least 3 when the graph has a cycle, as two colors would make
+    that cycle bichromatic: peeling minimum-degree vertices removes every
+    vertex outside the 2-core first, so the 2-core is a prefix of the
+    order, and there every degree is at least 2, so e >= s, which
+    k = 2 (e <= s - 1) does not allow.
     """
     order = degeneracy_ordering(graph)[1]
     pos = [0] * graph.order
@@ -316,16 +323,13 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
     two placed neighbors in one block c that are now joined in the
     forest of (a, c); that rule is re-checked only for such u and only
     in the forests the placement linked.  The union-find still refuses a
-    cycle the masks missed.  The lower bound is 3 when the graph has a
-    cycle, since two colors would make it bichromatic, or the
-    forest-count bound of ``_forest_count_bound`` when higher.  When the
-    budget runs out, the best coloring found (singletons if none) is the
-    witness and attains upper.  Witness blocks are in color order.
+    cycle the masks missed.  The lower bound is ``_forest_count_bound``.
+    When the budget runs out, the best coloring found (singletons if
+    none) is the witness and attains upper.  Witness blocks are in color
+    order.
     """
     n = graph.order
-    cyclic = _induced_cycle(set(range(n)), graph) is not None
-    static = 3 if cyclic else 2 if graph.e_count > 0 else 1
-    lower = max(static, _forest_count_bound(graph))
+    lower = _forest_count_bound(graph)
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
     adj = [list(graph.neighbors(v)) for v in range(n)]
     block_of = [-1] * n
@@ -420,14 +424,11 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
                 del near[u][b]
 
     best, nodes, out_of_budget = _partition_search(
-        order, (), block_of, forbid, [], place, unplace, lower, n, budget
+        order, (), block_of, forbid, [], place, unplace, lower, budget
     )
-    if best is not None:
-        witness = Partition(tuple(tuple(sorted(block)) for block in best))
-        audit = check_acyclic_coloring(graph, witness.block_of())
-        assert audit is None, f"search produced a bad coloring: {audit}"
-    else:
-        witness = Partition(tuple((v,) for v in range(n)))
+    witness = Partition(tuple(tuple(sorted(block)) for block in best))
+    audit = check_acyclic_coloring(graph, witness.block_of())
+    assert audit is None, f"search produced a bad coloring: {audit}"
     return ChromaticResult(
         lower if out_of_budget else witness.k, witness.k, witness, nodes, out_of_budget
     )

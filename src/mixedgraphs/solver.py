@@ -337,10 +337,9 @@ def _partition_search(
     place: Callable[[int, int], tuple[object, list[tuple[int, int]]] | None],
     unplace: Callable[[int, object], None],
     lower: int,
-    cap: int,
     budget: int,
-) -> tuple[tuple[tuple[int, ...], ...] | None, int, bool]:
-    """Branch and bound over partitions of ``order`` into at most ``cap`` blocks.
+) -> tuple[tuple[tuple[int, ...], ...], int, bool]:
+    """Branch and bound over the partitions of ``order``.
 
     The search owns three pieces of state that the caller reads:
     ``block_of[v]`` is v's block (negative while v is unplaced),
@@ -365,17 +364,20 @@ def _partition_search(
     Elliott), keeps the bits it newly set on a trail, and after the
     subtree calls ``unplace`` while v is still in its block, then
     clears the trail's bits and takes v out.  Only leaves with fewer
-    blocks than the best so far are reached, so the first optimal leaf is
-    kept; one with ``lower`` blocks ends the search.  Returns the best
-    blocks (if any), the node count and whether the budget ran out.
+    blocks than the best leaf so far are reached, so the first optimal
+    leaf is kept; one with ``lower`` blocks ends the search.  Until the
+    first leaf, the best blocks are the singletons of ``sorted(order)``,
+    which every rule accepts, so a search cut before any leaf still
+    returns a partition.  Returns the best blocks, the node count and
+    whether the budget ran out.
     """
     n = len(order)
     rank = [0] * len(block_of)
     for i, v in enumerate(order):
         rank[v] = i
     narrowed: dict[int, int] = {}  # the pick key of each u with forbid[u] != 0
-    bound = cap + 1  # blocks of the best leaf so far, or cap + 1
-    best_blocks: tuple[tuple[int, ...], ...] | None = None
+    bound = n + 1  # blocks of the best leaf so far, or n + 1
+    best_blocks = tuple((v,) for v in sorted(order))
     nodes = 0
     out_of_budget = False
 
@@ -449,15 +451,16 @@ def _partition_search(
 class ChromaticResult:
     """Outcome of a chromatic or acyclic chromatic number search.
 
-    Both come from one branch and bound over partitions.  When ``exact``,
-    lower == upper is the number sought and ``witness`` is an optimal
-    partition.  Otherwise the budget ran out and only the bounds are
-    certified; ``witness``, if any, is the best partition found.
+    Both come from one branch and bound over partitions.  ``witness`` is
+    the best partition found, audited, and ``upper`` is its block count.
+    When ``exact``, lower == upper is the number sought and the witness
+    is optimal.  Otherwise the budget ran out and the bounds are what is
+    certified.
     """
 
     lower: int
     upper: int
-    witness: Partition | None
+    witness: Partition
     nodes: int
     exhausted: bool
 
@@ -472,12 +475,7 @@ class ChromaticResult:
         return self.upper
 
 
-def chromatic_number(
-    graph: MixedGraph,
-    lower_hint: int = 0,
-    upper_hint: int | None = None,
-    budget: int = 10_000_000,
-) -> ChromaticResult:
+def chromatic_number(graph: MixedGraph, budget: int = 10_000_000) -> ChromaticResult:
     """Exact chromatic number by DSATUR branch and bound over partitions.
 
     ``_partition_search`` runs the search, in descending underlying
@@ -495,22 +493,16 @@ def chromatic_number(
     kinds.  Vertices without neighbours are left out of the search and
     put into block 0 at the end.  The vertices of ``special_clique`` are
     placed first, each straight into a new block, and the first leaf is
-    the greedy DSATUR coloring.  ``lower_hint`` and ``upper_hint`` must
-    be certified bounds when given; the upper hint prunes, the lower hint
-    allows early termination.  When the budget runs out the best bounds
-    and partition so far are returned with ``exhausted`` set.  Without
-    ``upper_hint`` there is always a witness, at worst the singletons.
+    the greedy DSATUR coloring.  When the budget runs out the best bounds
+    and partition so far are returned with ``exhausted`` set; the
+    partition is at worst the singletons.
     """
     n = graph.order
     if n == 0:
         return ChromaticResult(0, 0, Partition(()), 0, False)
     partners = _partner_sets(graph)
     clique = _greedy_clique(partners)
-    lower = max(lower_hint, len(clique), 2 if graph.e_count > 0 else 1)
-    cap = n if upper_hint is None else min(upper_hint, n)
-    if lower > cap:
-        raise ValueError(f"hints conflict: lower {lower} exceeds upper {cap}")
-
+    lower = max(len(clique), 2 if graph.e_count > 0 else 1)
     adj = [
         [(w, rel, rel.dual()) for w, rel in graph.neighbors(v).items()]
         for v in range(n)
@@ -520,15 +512,14 @@ def chromatic_number(
     if not core:
         return ChromaticResult(1, 1, Partition((tuple(lone),)), 0, False)
     m = len(core)
-    limit = min(cap, m)
     partners_only = [list(partners[v].difference(graph.neighbors(v))) for v in range(n)]
     order = sorted(core, key=lambda v: (-len(adj[v]), v))
     # a one-vertex clique forces nothing, and its vertex may have no neighbour
     seeds = [v for v in order if v in clique] if len(clique) > 1 else []
     # Block a is joined to the blocks in the bitmask linked[a]; bit c of
     # by_kind[a][kind] is set when the relations from a to c have that kind.
-    linked = [0] * limit
-    by_kind: list[dict[RelationKind, int]] = [{} for _ in range(limit)]
+    linked = [0] * m
+    by_kind: list[dict[RelationKind, int]] = [{} for _ in range(m)]
     block_of = [-1] * n
     blocks: list[list[int]] = []
 
@@ -575,22 +566,12 @@ def chromatic_number(
         for join in added:
             toggle(block_of[v], *join)
 
-    best_blocks, nodes, out_of_budget = _partition_search(
-        order, seeds, block_of, [0] * n, blocks, place, unplace, lower, limit, budget
+    (first, *rest), nodes, out_of_budget = _partition_search(
+        order, seeds, block_of, [0] * n, blocks, place, unplace, lower, budget
     )
-    if best_blocks is None and not out_of_budget:
-        raise ValueError(
-            f"no partition within upper_hint={upper_hint}; the hint was not a valid bound"
-        )
-    if best_blocks is None and limit == m:
-        best_blocks = tuple((v,) for v in core)
-    witness = None
-    if best_blocks is not None:
-        first, *rest = best_blocks
-        witness = Partition((first + tuple(lone), *rest))
-        audit = check_partition(graph, witness)
-        assert audit is None, f"search produced an invalid partition: {audit}"
-    upper = witness.k if witness is not None else cap
+    witness = Partition((first + tuple(lone), *rest))
+    audit = check_partition(graph, witness)
+    assert audit is None, f"search produced an invalid partition: {audit}"
     return ChromaticResult(
-        lower if out_of_budget else upper, upper, witness, nodes, out_of_budget
+        lower if out_of_budget else witness.k, witness.k, witness, nodes, out_of_budget
     )

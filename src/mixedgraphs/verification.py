@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from random import Random
+from typing import Callable
 
 from .bounds import (
     acyclic_upper_from_arb,
@@ -567,37 +568,26 @@ def criterion_9() -> tuple[bool, str]:
 
 # ---------------------------------------------------------------------------
 
-_CRITERIA: dict[int, tuple[str, float | None]] = {
-    1: ("special-2path-oracle", 1.0),
-    2: ("chi-sanity", 10.0),
-    3: ("tightness-instance", 5.0),
-    4: ("nash-williams", 30.0),
-    5: ("relabeling-pipeline", 60.0),
-    6: ("bound-audit", None),
-    7: ("property-q-greedy", 30.0),
-    8: ("regular-extension", 10.0),
-    9: ("closed-forms", None),
-}
-
-_RUNNERS = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
+# number -> (slug, runtime limit in seconds or None, runner)
+_CRITERIA: dict[int, tuple[str, float | None, Callable[[], tuple[bool, str]]]] = {
+    1: ("special-2path-oracle", 1.0, criterion_1),
+    2: ("chi-sanity", 10.0, criterion_2),
+    3: ("tightness-instance", 5.0, criterion_3),
+    4: ("nash-williams", 30.0, criterion_4),
+    5: ("relabeling-pipeline", 60.0, criterion_5),
+    6: ("bound-audit", None, criterion_6),
+    7: ("property-q-greedy", 30.0, criterion_7),
+    8: ("regular-extension", 10.0, criterion_8),
+    9: ("closed-forms", None, criterion_9),
 }
 
 
 def run_criterion(number: int) -> CriterionOutcome:
-    if number not in _RUNNERS:
+    if number not in _CRITERIA:
         raise ValueError(f"no criterion {number}; choose from 1..9")
-    name, limit = _CRITERIA[number]
+    name, limit, runner = _CRITERIA[number]
     start = time.perf_counter()
-    passed, details = _RUNNERS[number]()
+    passed, details = runner()
     seconds = time.perf_counter() - start
     if passed and limit is not None and seconds >= limit:
         passed = False
@@ -606,9 +596,9 @@ def run_criterion(number: int) -> CriterionOutcome:
 
 
 def run_all(numbers: tuple[int, ...] | None = None) -> list[CriterionOutcome]:
-    chosen = numbers if numbers is not None else tuple(sorted(_RUNNERS))
+    chosen = numbers if numbers is not None else criterion_numbers()
     return [run_criterion(n) for n in chosen]
 
 
 def criterion_numbers() -> tuple[int, ...]:
-    return tuple(sorted(_RUNNERS))
+    return tuple(sorted(_CRITERIA))

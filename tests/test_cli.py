@@ -264,6 +264,11 @@ def test_exit_code_usage(tmp_path, capsys):
     assert run(["search-q", "--sig", "1", "0", "--order", "5", "--tuples", "1", "--min", "1,1", "--attempts", "5"]) == 2
 
 
+@pytest.mark.parametrize("hint", ["--lower-hint", "--upper-hint"])
+def test_chi_has_no_hint_options(hint, c5, capsys):
+    assert run(["chi", c5, hint, "3"]) == 2
+
+
 def test_exit_code_budget(c5):
     assert run(["chi", c5, "--budget", "2"]) == 3
 

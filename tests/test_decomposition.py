@@ -24,7 +24,7 @@ from mixedgraphs import (
     loads,
     nash_williams_density,
 )
-from mixedgraphs.decomposition import _forest_count_bound, _forest_partition
+from mixedgraphs.decomposition import _forest_count_bound, _forest_partition, _induced_cycle
 from reference import (
     pairwise_check_acyclic_coloring,
     peel_forests,
@@ -318,6 +318,14 @@ def test_forest_count_bound_values():
     for u in range(3, 6):
         g.add_edge(u, u + 1, 1)
     assert _forest_count_bound(g) == 4
+    # it subsumes the static bounds: 3 with a cycle, 2 with an edge
+    rng = random.Random(1616)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        m = rng.randint(0, min(n * (n - 1) // 2, 2 * n))
+        g = seeded_graph(rng.choice(SIGNATURES), n, m, rng.randrange(10**6))
+        static = 3 if _induced_cycle(set(range(n)), g) is not None else 2 if m else 1
+        assert _forest_count_bound(g) >= static
 
 
 @given(mixed_graphs(max_order=8))

@@ -12,6 +12,7 @@ from mixedgraphs import (
     Partition,
     acyclic_chromatic_number,
     build_hk,
+    check_acyclic_coloring,
     check_homomorphism,
     check_partition,
     chromatic_number,
@@ -127,14 +128,6 @@ def test_budget_exhaustion_reports_honest_bounds():
     assert result.lower <= 5 <= result.upper
     with pytest.raises(ValueError):
         result.k
-
-
-def test_hints_are_respected():
-    g = directed_cycle(5)
-    assert chromatic_number(g, lower_hint=5).k == 5
-    assert chromatic_number(g, upper_hint=5).k == 5
-    with pytest.raises(ValueError):
-        chromatic_number(g, upper_hint=4)
 
 
 def test_partition_checker_rejects_bad_partitions():
@@ -341,7 +334,7 @@ def test_partition_engine_alone_finds_the_chromatic_number():
         for budget in (10**6, 5):
             runs.append(
                 _partition_search(
-                    order, (), block_of, forbid, blocks, place, lambda v, undo: None, 1, n, budget
+                    order, (), block_of, forbid, blocks, place, lambda v, undo: None, 1, budget
                 )
             )
             assert (block_of, forbid, blocks) == ([-1] * n, [0] * n, [])
@@ -353,6 +346,27 @@ def test_partition_engine_alone_finds_the_chromatic_number():
         assert len(best) == _brute_force_chromatic_number(n, edges)
         if not cut[2]:
             assert cut == runs[0]
+
+
+def test_every_search_returns_an_audited_witness_that_attains_upper():
+    # Finished or cut, both searches return certified bounds and a witness
+    # with exactly ``upper`` blocks that the independent checker accepts.
+    # Budget 1 cuts most searches before any leaf, so their witness is the
+    # starting singletons.
+    rng = random.Random(1515)
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        m = rng.randint(0, min(n * (n - 1) // 2, 3 * n))
+        g = seeded_graph(rng.choice(SIGNATURES), n, m, rng.randrange(10**6))
+        for budget in (1, 2, 5, 60, None):
+            options = {} if budget is None else {"budget": budget}
+            chi = chromatic_number(g, **options)
+            acyclic = acyclic_chromatic_number(g, **options)
+            for result in (chi, acyclic):
+                assert result.lower <= result.upper == result.witness.k
+                assert result.exact or budget is not None
+            assert check_partition(g, chi.witness) is None
+            assert check_acyclic_coloring(g, acyclic.witness.block_of()) is None
 
 
 @pytest.mark.parametrize(
