@@ -46,12 +46,14 @@ report4 = degree_bounds(4, 2)
 print("max degree 4: lower", report4.lower, "- upper applies?",
       report4.upper_applies)
 
-# A counting argument refutes too-small palettes outright: k images
-# must realize more graphs than exist on k vertices.
+# A counting argument: at most p^C(k,2) * k^n of the p^e colorings of an
+# underlying graph have chi <= k.  When that is fewer than p^e, some
+# coloring of the underlying graph needs more than k colors; the check
+# says nothing about the coloring at hand.
 g = MixedGraph(ColorSignature(1, 0), 6)
 for u in range(6):
     for v in range(u + 1, 6):
         g.add_arc(u, v, 1)
 verdict = counting_inequality_check(g, 2)
-print("\ncan the transitive tournament on 6 vertices use 2 colors?",
+print("\ncan every orientation of K_6 be colored with 2 colors?",
       verdict.satisfied, "-", verdict.detail)

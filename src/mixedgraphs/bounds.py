@@ -169,11 +169,16 @@ class BoundReport:
 
 
 def counting_inequality_check(graph: MixedGraph, k: int) -> BoundReport:
-    """Check p**C(k,2) * k**order >= p**edges, necessary for chi <= k.
+    """Compare p**C(k,2) * k**order with p**edges for the underlying graph.
 
-    Any graph with chromatic number at most k admits at most that many
-    relation-preserving maps onto a k-vertex image, which forces the
-    inequality; a False report certifies chi > k.
+    The underlying graph of ``graph`` has p**edges (m,n)-colorings.  Each
+    one with chi <= k is the pullback of a map of the vertices into one
+    of the p**C(k,2) complete targets on k vertices, so at most
+    p**C(k,2) * k**order of them have chi <= k.  A False report therefore
+    certifies that *some* coloring of the underlying graph has chi > k,
+    the step behind the paper's (2m+n)**(delta/2) lower bound.  It says
+    nothing about the coloring in ``graph``, whose chi may still be at
+    most k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -13,7 +13,7 @@ import heapq
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 ARC_OUT = "out"
 ARC_IN = "in"
@@ -246,7 +246,7 @@ class MixedGraph:
         Range, loop, duplicate and color checks run inline, as in
         ``_check_free_pair`` and ``ColorSignature.contains``; those two
         are called only to raise their errors.  Graph loading runs this
-        once per relation line.
+        once per relation line that its line loop reads.
         """
         adj = self._adj
         order = self.order
@@ -258,6 +258,38 @@ class MixedGraph:
         adj[u][v] = rel
         adj[v][u] = rel._dual
         self._e += 1
+
+    def add_relation_block(
+        self, us: Sequence[int], vs: Sequence[int], rels: Sequence[RelationKind]
+    ) -> bool:
+        """Install ``rels[i]`` on each pair {us[i], vs[i]}, viewed from
+        us[i], in list order, as ``add_relation`` would one at a time; or,
+        if any of them would fail its checks, install none and return False.
+
+        The checks run in bulk: vertex ranges and each distinct kind
+        against the signature before anything is written, loops and
+        repeated pairs after.  A pair that is new adds two row entries, a
+        loop one and a repeated pair none, so the row sizes add up to
+        twice the count exactly when there are neither.  Only a graph
+        with no relations takes a block, so undoing one means emptying
+        the rows.
+        """
+        if self._e:
+            raise ValueError("a relation block needs a graph with no relations")
+        ends = {*us, *vs}
+        if ends and (min(ends) < 0 or max(ends) >= self.order):
+            return False
+        if not all(map(self.signature.contains, set(rels))):
+            return False
+        adj = self._adj
+        for u, v, rel in zip(us, vs, rels):
+            adj[u][v] = rel
+            adj[v][u] = rel._dual
+        if sum(map(len, adj)) != 2 * len(us):
+            self._adj = [dict() for _ in range(self.order)]
+            return False
+        self._e = len(us)
+        return True
 
     def add_arc(self, tail: int, head: int, color: int = 1) -> None:
         self.add_relation(tail, head, RelationKind(ARC_OUT, color))
@@ -457,8 +489,9 @@ def degeneracy_ordering(graph: MixedGraph) -> tuple[int, list[int]]:
     vertices and m relations.
     """
     n = graph.order
-    deg = [graph.degree(v) for v in range(n)]
-    heap = [(deg[v], v) for v in range(n)]
+    adj = graph._adj
+    deg = list(map(len, adj))
+    heap = list(zip(deg, range(n)))
     heapq.heapify(heap)
     alive = [True] * n
     removal: list[int] = []
@@ -470,7 +503,7 @@ def degeneracy_ordering(graph: MixedGraph) -> tuple[int, list[int]]:
         d = max(d, k)
         alive[v] = False
         removal.append(v)
-        for w in graph.neighbors(v):
+        for w in adj[v]:
             if alive[w]:
                 deg[w] -= 1
                 heapq.heappush(heap, (deg[w], w))

@@ -27,6 +27,8 @@ from .core import ColorSignature, MixedGraph, RelationKind, ARC_OUT, EDGE
 FORMAT_VERSION = 1
 
 _SEED_COMMENT = re.compile(r"#\s*seed\s+(-?\d+)\s*$")
+# A run of relation lines exactly as ``dumps`` writes them.
+_BULK_BLOCK = re.compile(r"(?:[ae] [0-9]+ [0-9]+ [0-9]+\n)*")
 
 
 class FormatError(ValueError):
@@ -88,23 +90,73 @@ def _color_kind(
     raise FormatError(line_no, f"{prefix}{c} out of range for signature {sig}")
 
 
+def _load_block(
+    text: str,
+    lines: list[str],
+    start: int,
+    graph: MixedGraph,
+    by_token: dict[str, dict[str, RelationKind]],
+) -> int:
+    """Install the relation lines that open the body at ``lines[start]``
+    in bulk, and return how many were installed.
+
+    The block is the longest run of lines in ``dumps``'s exact relation
+    format.  It is split into tokens at once; each distinct vertex token
+    is converted by ``int`` once.  Each distinct color token is checked
+    against the signature before its kind is made and stored in
+    ``by_token``, as ``_color_kind`` would store it; colors are keyed by
+    their word only when both ``a`` and ``e`` lines occur.  The rest is
+    checked by ``MixedGraph.add_relation_block``.  If any check fails,
+    nothing is installed and 0 is returned; the line loop then reads the
+    block and raises the error with its line number.
+    """
+    head = "\n".join(lines[:start]) + "\n"
+    if not text.startswith(head):
+        return 0
+    tokens = _BULK_BLOCK.match(text, len(head)).group().split()
+    words, us, vs, colors = tokens[0::4], tokens[1::4], tokens[2::4], tokens[3::4]
+    keys: list = colors if len(set(words)) == 1 else list(zip(words, colors))
+    kinds: dict = {}
+    sig = graph.signature
+    try:  # int() refuses a token of more digits than sys.get_int_max_str_digits()
+        for key in set(keys):
+            word, token = (words[0], key) if keys is colors else key
+            c = int(token)
+            if not 1 <= c <= (sig.m if word == "a" else sig.n):
+                return 0
+            rel = RelationKind(ARC_OUT if word == "a" else EDGE, c)
+            kinds[key] = by_token[word][token] = rel
+        number = {token: int(token) for token in {*us, *vs}}.__getitem__
+    except ValueError:
+        return 0
+    rels = list(map(kinds.__getitem__, keys))
+    if not graph.add_relation_block(list(map(number, us)), list(map(number, vs)), rels):
+        return 0
+    return len(rels)
+
+
 def loads(text: str) -> GraphDocument:
     """Parse graph text, auditing every structural invariant.
 
-    A short loop reads the three header lines; the body loop then reads
-    relation and sidecar lines without testing header state.  Relations
-    go through ``MixedGraph.add_relation``, whose errors become
-    FormatErrors naming the line.  Kinds are looked up by color token in
-    tables filled as tokens are first seen (``_color_kind``), so a
-    signature with 10^9 colors costs no more than one with 1.  The
-    finished graph is re-audited by ``MixedGraph.validate``.
+    A short loop reads the three header lines.  The relation lines that
+    follow them in ``dumps``'s exact format are installed in bulk
+    (``_load_block``) when all of them are valid.  The body loop then
+    reads the remaining lines, or the whole body when the block was
+    refused, without testing header state; so every FormatError, with
+    its line number, comes from that one loop.  Relations go through
+    ``MixedGraph.add_relation``, whose errors become FormatErrors naming
+    the line.  Kinds are looked up by color token in tables filled as
+    tokens are first seen (``_color_kind``), so a signature with 10^9
+    colors costs no more than one with 1.  The finished graph is
+    re-audited by ``MixedGraph.validate``.
     """
-    lines = enumerate(text.splitlines(), start=1)
+    lines = text.splitlines()
+    numbered = enumerate(lines, start=1)
     signature: ColorSignature | None = None
     header_seen = False
     seed: int | None = None
 
-    for line_no, raw in lines:
+    for line_no, raw in numbered:
         if "#" in raw:
             seed_match = _SEED_COMMENT.search(raw)
             if seed_match and seed is None:
@@ -145,7 +197,8 @@ def loads(text: str) -> GraphDocument:
     doc = GraphDocument(graph)
     add_relation = graph.add_relation
     by_token: dict[str, dict[str, RelationKind]] = {"a": {}, "e": {}}
-    for line_no, raw in lines:
+    start = line_no + _load_block(text, lines, line_no, graph, by_token)
+    for line_no, raw in enumerate(lines[start:], start=start + 1):
         if "#" in raw:
             if seed is None:
                 seed_match = _SEED_COMMENT.search(raw)

@@ -46,7 +46,9 @@ def check_homomorphism(
 
     Each relation must map to a relation of the same kind, direction and
     color.  Mismatched signatures or a non-total map are input errors,
-    not violations.
+    not violations.  Relations are checked in ``source.relations()``
+    order, so the first violation is reported; each source row and the
+    row of its image are fetched once.
     """
     _require_same_signature(source, target)
     if len(mapping) != source.order:
@@ -56,17 +58,24 @@ def check_homomorphism(
     for u, x in enumerate(mapping):
         if not 0 <= x < target.order:
             raise ValueError(f"image {x} of vertex {u} out of range")
-    for u, v, rel in source.relations():
-        x, y = mapping[u], mapping[v]
-        if x == y:
-            return f"adjacent pair ({u}, {v}) collapses onto vertex {x}"
-        found = target.relation_from(x, y)
-        if found != rel:
-            have = str(found) if found is not None else "no relation"
-            return (
-                f"pair ({u}, {v}) carries {rel} but its image ({x}, {y}) "
-                f"carries {have}"
-            )
+    for u in range(source.order):
+        row = source.neighbors(u)
+        x = mapping[u]
+        image_row = target.neighbors(x)
+        for v in sorted(row):
+            if v < u:
+                continue
+            rel = row[v]
+            y = mapping[v]
+            if x == y:
+                return f"adjacent pair ({u}, {v}) collapses onto vertex {x}"
+            found = image_row.get(y)
+            if found is not rel:
+                have = str(found) if found is not None else "no relation"
+                return (
+                    f"pair ({u}, {v}) carries {rel} but its image ({x}, {y}) "
+                    f"carries {have}"
+                )
     return None
 
 

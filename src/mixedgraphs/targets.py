@@ -33,10 +33,12 @@ class CompleteMixedTarget:
     first use and kept: ``kind_masks[v][rel]`` has bit w set exactly
     when ``graph.relation_from(v, w)`` is ``rel``; a kind with no such
     w has no entry, so the index holds only kinds the graph uses.  A
-    common neighborhood is then an AND of rows.  The index lives here
-    rather than on ``MixedGraph`` because a complete graph is never
-    mutated once wrapped and its rows take no more memory than its
-    adjacency dicts; the graph must not change after it is built.
+    common neighborhood is then an AND of rows.  Building it reads each
+    adjacency row once and ORs in bits 1 << w made once for all rows.
+    The index lives here rather than on ``MixedGraph`` because a
+    complete graph is never mutated once wrapped and its rows take no
+    more memory than its adjacency dicts; the graph must not change
+    after it is built.
     """
 
     graph: MixedGraph
@@ -53,12 +55,13 @@ class CompleteMixedTarget:
 
     @cached_property
     def kind_masks(self) -> tuple[dict[RelationKind, int], ...]:
+        bits = [1 << w for w in range(self.graph.order)]
         rows = []
         for v in range(self.graph.order):
             row: dict[RelationKind, int] = {}
             get = row.get
             for w, rel in self.graph.neighbors(v).items():
-                row[rel] = get(rel, 0) | 1 << w
+                row[rel] = get(rel, 0) | bits[w]
             rows.append(row)
         return tuple(rows)
 
@@ -253,27 +256,32 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
     image is chosen.  Raises PropertyViolatedError when the candidate
     set is exhausted.
 
-    Candidates are an AND of the target's ``kind_masks`` rows and the
-    blocked set is read off the placed neighbors of the current vertex's
-    unplaced neighbors, so a step costs O(deg^2) big-int operations of
-    target-order bits.  The invariant that the placed neighbors of every
-    unplaced vertex hold distinct images is re-audited after each step
-    for the unplaced neighbors of the vertex just placed, the only
-    vertices whose placed neighborhoods changed; the finished map is
-    audited again by ``check_homomorphism``.
+    Each adjacency row of ``graph`` is fetched once, and the kind a
+    placed neighbor w needs is the dual of the current vertex's row
+    entry for w.  Candidates are an AND of the target's ``kind_masks``
+    rows and the blocked set is an OR of the image bits of the current
+    vertex's unplaced neighbors' neighbors (0 for unplaced ones), so a
+    step costs O(deg^2) big-int operations of target-order bits.  The
+    invariant that the placed neighbors of every unplaced vertex hold
+    distinct images is re-audited after each step for the unplaced
+    neighbors of the vertex just placed, the only vertices whose placed
+    neighborhoods changed; the finished map is audited again by
+    ``check_homomorphism``.
     """
     tg = target.graph
     _require_same_signature(graph, tg)
     degeneracy, order = degeneracy_ordering(graph)
     masks = target.kind_masks
     everything = (1 << tg.order) - 1
+    rows = list(map(graph.neighbors, range(graph.order)))
     image = [-1] * graph.order
+    image_bit = [0] * graph.order
     steps: list[GreedyStep] = []
     for v in order:
-        around = graph.neighbors(v)
+        around = rows[v]
         placed_neighbors = [w for w in sorted(around) if image[w] >= 0]
         images = tuple(image[w] for w in placed_neighbors)
-        needed = tuple(graph.neighbors(w)[v] for w in placed_neighbors)
+        needed = tuple(around[w].dual() for w in placed_neighbors)
         candidates = everything
         for x, rel in zip(images, needed):
             candidates &= masks[x].get(rel, 0)
@@ -282,23 +290,24 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
         future = [w for w in around if image[w] < 0]
         blocked = 0
         for y in future:
-            for x in graph.neighbors(y):
-                if image[x] >= 0:
-                    blocked |= 1 << image[x]
+            for x in rows[y]:
+                blocked |= image_bit[x]
         admissible = candidates & ~blocked
         if not admissible:
             raise PropertyViolatedError(
                 v, images, needed, _bits(candidates), _bits(blocked)
             )
-        choice = (admissible & -admissible).bit_length() - 1
+        lowest = admissible & -admissible
+        choice = lowest.bit_length() - 1
         image[v] = choice
+        image_bit[v] = lowest
         steps.append(
             GreedyStep(
                 v, images, needed, candidates.bit_count(), blocked.bit_count(), choice
             )
         )
         for z in sorted(future):
-            placed = [image[w] for w in graph.neighbors(z) if image[w] >= 0]
+            placed = [image[w] for w in rows[z] if image[w] >= 0]
             if len(set(placed)) != len(placed):
                 raise AssertionError(
                     f"invariant broken after placing {v}: unplaced vertex {z} "

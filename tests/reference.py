@@ -10,7 +10,8 @@ numbers they certify must agree with the library's.  So are the
 subset-scan arboricity and the forest
 peel: the first is an exact oracle for small orders, the second an upper
 bound the optimal decomposition must never exceed.  The pairwise
-acyclic-coloring audit must return the library's messages exactly.
+acyclic-coloring audit and the relation-scan homomorphism audit must
+return the library's messages exactly.
 """
 
 from typing import Callable, Generator, Sequence
@@ -511,6 +512,33 @@ def pairwise_check_acyclic_coloring(graph: MixedGraph, coloring) -> str | None:
             cycle = _induced_cycle(classes[a] | classes[b], graph)
             if cycle is not None:
                 return f"colors {a} and {b} induce a cycle through {cycle}"
+    return None
+
+
+def relation_scan_check_homomorphism(
+    source: MixedGraph, target: MixedGraph, mapping: Sequence[int]
+) -> str | None:
+    """The homomorphism audit that looked every image pair up with the
+    range-checked ``target.relation_from``, in ``source.relations()``
+    order."""
+    if source.signature != target.signature:
+        raise ValueError(f"signature mismatch: {source.signature} vs {target.signature}")
+    if len(mapping) != source.order:
+        raise ValueError(f"mapping has {len(mapping)} entries for {source.order} vertices")
+    for u, x in enumerate(mapping):
+        if not 0 <= x < target.order:
+            raise ValueError(f"image {x} of vertex {u} out of range")
+    for u, v, rel in source.relations():
+        x, y = mapping[u], mapping[v]
+        if x == y:
+            return f"adjacent pair ({u}, {v}) collapses onto vertex {x}"
+        found = target.relation_from(x, y)
+        if found != rel:
+            have = str(found) if found is not None else "no relation"
+            return (
+                f"pair ({u}, {v}) carries {rel} but its image ({x}, {y}) "
+                f"carries {have}"
+            )
     return None
 
 

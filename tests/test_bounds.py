@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mixedgraphs import (
+    ColorSignature,
+    MixedGraph,
     acyclic_upper_from_arb,
     acyclic_upper_from_chi,
     arb_upper_from_chi,
@@ -14,7 +17,7 @@ from mixedgraphs import (
     nr_upper,
     planar_upper,
 )
-from strategies import complete_graph, directed_cycle
+from strategies import directed_cycle
 
 
 # --- ceil_log -------------------------------------------------------------------
@@ -121,14 +124,69 @@ def test_degree_upper_matches_the_sparse_recipe():
 # --- counting inequality ---------------------------------------------------------------
 
 
-def test_counting_inequality_agrees_with_exact_chi():
-    for g in (directed_cycle(5), complete_graph(4)):
-        chi = chromatic_number(g).k
-        ok = counting_inequality_check(g, chi)
-        assert ok.satisfied
-        below = counting_inequality_check(g, 1)
-        if not below.satisfied:
-            assert chi > 1
+def _underlying_graphs(max_order, max_edges):
+    """Every graph on at most ``max_order`` vertices with 1..max_edges
+    edges and no isolated vertex, once per isomorphism class, as
+    (order, sorted edge tuple)."""
+    seen = set()
+    for n in range(2, max_order + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        perms = list(itertools.permutations(range(n)))
+        for e in range(1, max_edges + 1):
+            for edges in itertools.combinations(pairs, e):
+                if len({v for pair in edges for v in pair}) < n:
+                    continue
+                key = min(
+                    tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+                    for p in perms
+                )
+                if (n, key) not in seen:
+                    seen.add((n, key))
+                    yield n, key
+
+
+def _colorings(signature, order, edges):
+    """All p**len(edges) colorings of one underlying graph."""
+    for choice in itertools.product(signature.kinds(), repeat=len(edges)):
+        g = MixedGraph(signature, order)
+        for (u, v), rel in zip(edges, choice):
+            g.add_relation(u, v, rel)
+        yield g
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (0, 2), (1, 1), (0, 3)])
+def test_counting_inequality_bounds_the_colorings_with_small_chi(m, n):
+    """Of the p**e colorings of an underlying graph, at most
+    p**C(k,2) * k**order have chi <= k (chi by exact search); so a failed
+    check leaves some coloring with chi > k."""
+    signature = ColorSignature(m, n)
+    for order, edges in _underlying_graphs(5, 6):
+        chis = [chromatic_number(g).k for g in _colorings(signature, order, edges)]
+        for k in range(1, order + 1):
+            some = next(_colorings(signature, order, edges))
+            report = counting_inequality_check(some, k)
+            assert report.compared == len(chis)
+            assert sum(chi <= k for chi in chis) <= report.value
+            if not report.satisfied:
+                assert max(chis) > k
+
+
+def _star(signature):
+    """Vertex 0 with six out-arcs of color 1."""
+    g = MixedGraph(signature, 7)
+    for v in range(1, 7):
+        g.add_arc(0, v, 1)
+    return g
+
+
+def test_counting_failure_is_not_about_the_given_coloring():
+    signature = ColorSignature(1, 1)
+    star = _star(signature)
+    report = counting_inequality_check(star, 2)
+    assert not report.satisfied
+    assert chromatic_number(star).k == 2
+    edges = tuple((0, v) for v in range(1, 7))
+    assert max(chromatic_number(g).k for g in _colorings(signature, 7, edges)) > 2
 
 
 def test_counting_report_fields():

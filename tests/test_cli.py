@@ -203,6 +203,21 @@ def test_exit_code_violated(tmp_path, c5):
     assert run(["hom", c5, str(c3)]) == 1
 
 
+def test_failed_counting_check_is_not_a_violation(tmp_path, capsys):
+    # a (1,1) star: vertex 0 with six out-arcs of color 1, chi 2
+    star = tmp_path / "star.mg"
+    star.write_text(
+        "mixedgraph 1\nsignature 1 1\nvertices 7\n"
+        + "".join(f"a 0 {v} 1\n" for v in range(1, 7))
+    )
+    assert run(["bounds", "counting", str(star), "2"]) == 0
+    assert capsys.readouterr().out.endswith(
+        ": fails, so some coloring of the underlying graph has chi > 2\n"
+    )
+    assert run(["chi", str(star), "--format", "records"]) == 0
+    assert _records(capsys)[0]["k"] == 2
+
+
 def test_deep_searches_keep_the_exit_code_contract(tmp_path, capsys):
     # a 1500-vertex path is deeper than Python's default recursion limit
     path = tmp_path / "p1500.mg"

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixedgraphs import core
+from mixedgraphs import core, fileio
 from mixedgraphs import (
     ColorSignature,
     FormatError,
@@ -13,9 +13,10 @@ from mixedgraphs import (
     load,
     loads,
     loads_mapping,
+    sample_complete,
 )
 from reference import reference_loads
-from strategies import mixed_graphs, same_graph, sparse_graph
+from strategies import SIGNATURES, mixed_graphs, same_graph, sparse_graph
 
 
 HEADER = "mixedgraph 1\nsignature 1 1\nvertices 4\n"
@@ -79,6 +80,12 @@ def test_arc_lines_survive_direction():
         (HEADER + "e 0 1 0\n", 4, "color"),
         (HEADER + "e 0 0 7\n", 4, "loop at vertex 0"),
         (HEADER + "a 0 1 1\na 1 0 1\n", 5, "already has a relation"),
+        (HEADER + "a 0 1 1\ne 2 3 1\na 3 0 1\ne 3 2 1\n", 7, "already has a relation"),
+        (HEADER + "a 0 1 1\ne 2 3 1\ne 1 1 1\na 3 0 1\n", 6, "loop"),
+        (HEADER + "a 0 1 1\ne 2 3 1\ne 1 4 1\na 3 0 1\n", 6, "out of range"),
+        (HEADER + "a 0 1 1\ne 2 3 1\na 3 0 1\ne 1 2 2\n", 7, "e2 out of range"),
+        (HEADER + "a 0 1 1\na 2 " + "1" * 5000 + " 1\n", 5, "vertex must be an integer"),
+        (HEADER + "a 0 1 1\na 2 3 " + "1" * 5000 + "\n", 5, "color must be an integer"),
         (HEADER + "color 9 1\n", 4, "out of range"),
         (HEADER + "color 1 1\ncolor 1 2\n", 5, "twice"),
         (HEADER + "forest 0 1 0\n", 4, "not an underlying edge"),
@@ -158,7 +165,14 @@ def _outcome(loader, text):
         return "error", str(exc)
     g = doc.graph
     return (
-        "ok", g.signature, g.order, list(g.relations()), doc.coloring, doc.forests, doc.seed
+        "ok",
+        g.signature,
+        g.order,
+        list(g.relations()),
+        [list(g.neighbors(v)) for v in range(g.order)],
+        doc.coloring,
+        doc.forests,
+        doc.seed,
     )
 
 
@@ -170,24 +184,29 @@ def _respell(line, spelling):
 
 @st.composite
 def graph_texts(draw):
-    """Valid files: dumps of a graph with sidecars, then decorated with
-    blank lines, comments, seed comments and other color spellings."""
+    """Valid files: dumps of a graph with sidecars, then, for two texts in
+    three, decorated with blank lines, comments, seed comments and other
+    color spellings.  An undecorated text keeps all its relation lines
+    in the bulk block, so mutations land inside a long block."""
     g = draw(mixed_graphs())
     coloring = draw(st.dictionaries(st.integers(0, g.order - 1), st.integers(-2, 5)))
     forests = {
         pair: draw(st.integers(0, 3)) for pair in g.underlying_edges() if draw(st.booleans())
     }
     seed = draw(st.none() | st.integers(-(10**6), 10**6))
+    decorate = draw(st.integers(0, 2)) > 0
     lines = []
     for line in dumps(g, coloring=coloring, forests=forests, seed=seed).splitlines():
-        how = draw(st.sampled_from(("keep", "blank", "comment", "seed", "01", "+1")))
+        how = "keep"
+        if decorate:
+            how = draw(st.sampled_from(("keep", "blank", "comment", "seed", "01", "+1")))
         if how == "blank":
             lines.append("   ")
         elif how == "seed":
             lines.append(f"# seed {draw(st.integers(0, 99))}")
         elif how == "comment":
             line += "  # note # more"
-        elif line[0] in "ae":
+        elif how in ("01", "+1") and line[0] in "ae":
             line = _respell(line, "0" if how == "01" else "+")
         lines.append(line)
     return "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n")))
@@ -231,6 +250,74 @@ def mutated_texts(draw):
 @given(mutated_texts())
 def test_loader_matches_reference_on_mutated_files(text):
     assert _outcome(loads, text) == _outcome(reference_loads, text)
+
+
+# --- the bulk relation block --------------------------------------------------
+
+
+def _dense_lines():
+    """A dumped complete (1,1) graph of order 64: 2 016 relation lines,
+    both words, after the three header lines."""
+    return dumps(sample_complete(ColorSignature(1, 1), 64, 3).graph).splitlines()
+
+
+def _reversed_pair(line):
+    word, u, v, c = line.split()
+    return f"{word} {v} {u} {c}"
+
+
+# Each edit rewrites relation line i of _dense_lines(); the first
+# relation line repeats the pair of the line after it, the others the
+# pair of the line before.
+_BLOCK_EDITS = {
+    "reversed-pair": lambda lines, i: _reversed_pair(lines[i + 1 if i == 3 else i - 1]),
+    "loop": lambda lines, i: "{0} {1} {1} {3}".format(*lines[i].split()),
+    "vertex-equal-to-order": lambda lines, i: "{0} {1} 64 {3}".format(*lines[i].split()),
+    "color-above-signature": lambda lines, i: "{0} {1} {2} 2".format(*lines[i].split()),
+    "color-01": lambda lines, i: _respell(lines[i], "0"),
+}
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("edit", sorted(_BLOCK_EDITS))
+def test_bulk_block_errors_match_the_reference(where, edit):
+    lines = _dense_lines()
+    i = {"first": 3, "middle": 3 + 1008, "last": len(lines) - 1}[where]
+    lines[i] = _BLOCK_EDITS[edit](lines, i)
+    text = "\n".join(lines) + "\n"
+    outcome = _outcome(loads, text)
+    assert outcome == _outcome(reference_loads, text)
+    if edit == "color-01":
+        assert outcome[0] == "ok"
+    else:
+        # a pair is refused where it repeats, one line late on the first line
+        line_no = i + 2 if (where, edit) == ("first", "reversed-pair") else i + 1
+        assert outcome[0] == "error"
+        assert outcome[1].startswith(f"line {line_no}: ")
+
+
+@given(
+    mixed_graphs(max_order=12, signatures=SIGNATURES + (ColorSignature(3, 12),)),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_dumped_relations_form_one_bulk_block(g, seed, comments, sidecars):
+    """Every relation line ``dumps`` writes is in the bulk format, so the
+    bulk block holds all of them; a change to ``dumps``'s spacing would
+    silently send every file down the line loop."""
+    text = dumps(
+        g,
+        seed=7 if seed else None,
+        comments=("a comment",) if comments else (),
+        coloring={v: 1 for v in range(g.order)} if sidecars else None,
+        forests={pair: 0 for pair in g.underlying_edges()} if sidecars else None,
+    )
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("vertices")) + 1
+    graph = MixedGraph(g.signature, g.order)
+    assert fileio._load_block(text, lines, start, graph, {"a": {}, "e": {}}) == g.e_count
+    assert same_graph(graph, g)
 
 
 def test_sparse_round_trip_at_order_100000():

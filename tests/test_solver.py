@@ -41,6 +41,7 @@ from strategies import (
 from reference import (
     fixed_order_chromatic_number,
     quadratic_special_clique,
+    relation_scan_check_homomorphism,
     set_domain_homomorphism,
 )
 
@@ -157,6 +158,21 @@ def test_quotient_produces_a_checked_image():
     image, hom = quotient(g, partition)
     assert image.order == 3
     assert check_homomorphism(g, image, hom.mapping) is None
+
+
+@given(mixed_graphs(), mixed_graphs(), st.randoms(use_true_random=False))
+def test_check_homomorphism_reports_the_first_violation(source, target, rng):
+    """The same verdict and message as one ``relation_from`` per relation,
+    on maps that mostly break some relation and on homomorphisms."""
+    if source.signature != target.signature:
+        target = sample_complete(source.signature, target.order, rng.randrange(100)).graph
+    mapping = [rng.randrange(target.order) for _ in range(source.order)]
+    assert check_homomorphism(source, target, mapping) == relation_scan_check_homomorphism(
+        source, target, mapping
+    )
+    hom = find_homomorphism(source, target)
+    if hom is not None:
+        assert check_homomorphism(source, target, hom.mapping) is None
 
 
 def test_find_homomorphism_known_cases():
