@@ -351,8 +351,12 @@ class MixedGraph:
         Returns None when the graph is well formed, otherwise a message
         naming the first violated invariant and the offending pair.
         Builders already fail fast; this is the independent audit used
-        after parsing or hand assembly.
+        after parsing or hand assembly.  The same invariants are first
+        checked in bulk, in another order (``_well_formed``); only when
+        one fails does the ordered scan run, to name the first violation.
         """
+        if self._well_formed():
+            return None
         adj = self._adj
         order = self.order
         m, n = self.signature.m, self.signature.n
@@ -373,6 +377,29 @@ class MixedGraph:
         if seen != 2 * self._e:
             return f"relation count mismatch: counted {seen // 2}, recorded {self._e}"
         return None
+
+    def _well_formed(self) -> bool:
+        """Whether ``validate``'s invariants all hold: the row sizes add
+        up to twice the relation count, no row holds its own vertex, no
+        neighbor is negative or at least the order (an IndexError), every
+        entry's reverse entry is its dual (a KeyError if missing), and
+        every kind is in the signature.  The negative check comes before
+        any row is indexed by the neighbor, which would wrap around."""
+        adj = self._adj
+        if sum(map(len, adj)) != 2 * self._e:
+            return False
+        if any(map(dict.__contains__, adj, range(self.order))):
+            return False
+        kinds: set[RelationKind] = set()
+        try:
+            for u, row in enumerate(adj):
+                for v, rel in row.items():
+                    if v < 0 or adj[v][u] is not rel._dual:
+                        return False
+                kinds.update(row.values())
+        except LookupError:
+            return False
+        return all(map(self.signature.contains, kinds))
 
     def __repr__(self) -> str:
         return (

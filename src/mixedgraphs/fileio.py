@@ -18,11 +18,12 @@ sampled targets stay reproducible from their files alone.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .core import ColorSignature, MixedGraph, RelationKind, ARC_OUT, EDGE
+from .core import ColorSignature, MixedGraph, RelationKind, ARC_IN, ARC_OUT, EDGE
 
 FORMAT_VERSION = 1
 
@@ -274,7 +275,13 @@ def dumps(
     seed: int | None = None,
     comments: Iterable[str] = (),
 ) -> str:
-    """Serialize a graph (plus optional sidecar data) to format text."""
+    """Serialize a graph (plus optional sidecar data) to format text.
+
+    Relations come one line per pair {u, v}, u < v, sorted; an incoming
+    arc is written from its tail.  Each adjacency row is fetched once,
+    each vertex number is made into text once, and each kind's letter,
+    direction and color text are looked up once, on first sight.
+    """
     lines = [f"mixedgraph {FORMAT_VERSION}"]
     if seed is not None:
         lines.append(f"# seed {seed}")
@@ -282,13 +289,22 @@ def dumps(
         lines.append(f"# {comment}")
     lines.append(f"signature {graph.signature.m} {graph.signature.n}")
     lines.append(f"vertices {graph.order}")
-    for u, v, rel in graph.relations():
-        if rel.kind == ARC_OUT:
-            lines.append(f"a {u} {v} {rel.color}")
-        elif rel.kind == EDGE:
-            lines.append(f"e {u} {v} {rel.color}")
-        else:
-            lines.append(f"a {v} {u} {rel.color}")
+    names = list(map(str, range(graph.order)))
+    spelling: dict[RelationKind, tuple[str, bool, str]] = {}
+    for u, name in enumerate(names):
+        row = graph.neighbors(u)
+        later = sorted(row)
+        for v in later[bisect_right(later, u):]:
+            rel = row[v]
+            entry = spelling.get(rel)
+            if entry is None:
+                letter = "e" if rel.kind == EDGE else "a"
+                entry = spelling[rel] = (letter, rel.kind == ARC_IN, str(rel.color))
+            letter, swapped, color = entry
+            if swapped:
+                lines.append(f"a {names[v]} {name} {color}")
+            else:
+                lines.append(f"{letter} {name} {names[v]} {color}")
     if coloring:
         for v in sorted(coloring):
             lines.append(f"color {v} {coloring[v]}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from random import Random
 
 from .core import (
@@ -69,17 +70,25 @@ class CompleteMixedTarget:
 def sample_complete(signature: ColorSignature, order: int, seed: int) -> CompleteMixedTarget:
     """Sample a complete target, each pair's kind uniform and independent.
 
-    Pairs are visited in lexicographic order, so the result is a pure
-    function of (signature, order, seed).
+    Pairs are visited in lexicographic order, one ``randrange`` draw
+    each, so the result is a pure function of (signature, order, seed).
+    The pairs and their kinds are listed first and installed by one
+    ``MixedGraph.add_relation_block`` call, in the same order.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     rng = Random(seed)
     kinds = signature.kinds()
+    p = len(kinds)
+    us: list[int] = []
+    vs: list[int] = []
+    for u in range(order - 1):
+        us += [u] * (order - 1 - u)
+        vs += range(u + 1, order)
+    randrange = rng.randrange
+    rels = [kinds[randrange(p)] for _ in us]
     g = MixedGraph(signature, order)
-    for u in range(order):
-        for v in range(u + 1, order):
-            g.add_relation(u, v, kinds[rng.randrange(len(kinds))])
+    g.add_relation_block(us, vs, rels)
     return CompleteMixedTarget(g, seed)
 
 
@@ -127,8 +136,16 @@ def check_property_q(target: CompleteMixedTarget, spec: PropertySpec) -> QViolat
     """Audit the adjacency property; None when it holds everywhere.
 
     Enumerates every increasing tuple of up to spec.t vertices and every
-    kind vector, depth first with kinds canonical, so depth j costs
-    C(order, j) * p ** j mask ANDs; the first failure found is returned.
+    kind vector, depth first with kinds canonical; the first failure
+    found is returned.  Depth j < spec.t costs C(order, j) * p ** j mask
+    ANDs.  The deepest level is first counted one kind column at a time,
+    for all kinds but the last: the p kind rows of a vertex v split the
+    other vertices, the target being complete, so the last kind's count
+    is |mask| - [v in mask] - (the other counts).  When every counted
+    kind meets the minimum and every sum of counts leaves room for it
+    even with v in the mask, the level holds and costs
+    C(order, spec.t) * p ** (spec.t - 1) ANDs; otherwise the per-vertex
+    loop re-runs the level and names its first failure, or finds none.
     It is also the first failure of a scan over all ordered tuples of
     distinct vertices: sorting a failing tuple, kinds carried along,
     keeps its count and minimum; the sorted tuple, and any failing prefix
@@ -145,6 +162,20 @@ def check_property_q(target: CompleteMixedTarget, spec: PropertySpec) -> QViolat
         return QViolation((), (), n, spec.required(0))
     kinds = g.signature.kinds()
     masks = [[row.get(kind, 0) for kind in kinds] for row in target.kind_masks]
+    columns = list(zip(*masks))[:-1]
+
+    def last_level_holds(mask: int, first: int, need: int) -> bool:
+        """Whether every vertex from ``first`` on meets ``need`` at every
+        kind on ``mask``, the last kind bounded from its complement;
+        False when a counted kind fails or that bound is too loose."""
+        room = mask.bit_count() - 1 - need
+        sums = None  # the counted kinds' sums per vertex; none when p = 1
+        for column in columns:
+            counts = [(mask & row).bit_count() for row in column[first:]]
+            if min(counts, default=need) < need:
+                return False
+            sums = counts if sums is None else list(map(add, sums, counts))
+        return max(sums or (0,)) <= room
 
     def extend(
         vertices: tuple[int, ...], indices: tuple[int, ...], mask: int
@@ -152,7 +183,10 @@ def check_property_q(target: CompleteMixedTarget, spec: PropertySpec) -> QViolat
         j = len(vertices) + 1
         need = spec.required(j)
         deeper = j < spec.t
-        for v in range(vertices[-1] + 1 if vertices else 0, n):
+        first = vertices[-1] + 1 if vertices else 0
+        if not deeper and last_level_holds(mask, first, need):
+            return None
+        for v in range(first, n):
             for ki, row in enumerate(masks[v]):
                 narrowed = mask & row
                 count = narrowed.bit_count()

@@ -11,10 +11,13 @@ subset-scan arboricity and the forest
 peel: the first is an exact oracle for small orders, the second an upper
 bound the optimal decomposition must never exceed.  The pairwise
 acyclic-coloring audit and the relation-scan homomorphism audit must
-return the library's messages exactly.
+return the library's messages exactly.  The pair-by-pair target sampler
+and the relation-by-relation writer must produce the library's graphs
+and text exactly.
 """
 
-from typing import Callable, Generator, Sequence
+from random import Random
+from typing import Callable, Generator, Iterable, Mapping, Sequence
 
 from mixedgraphs import (
     ChromaticResult,
@@ -828,3 +831,52 @@ def peel_forests(graph: MixedGraph) -> ForestDecomposition:
     audit = check_forest_decomposition(graph, fd)
     assert audit is None, f"greedy peeling produced a bad decomposition: {audit}"
     return fd
+
+
+def pairwise_sample_complete(signature: ColorSignature, order: int, seed: int) -> CompleteMixedTarget:
+    """``targets.sample_complete`` as it installed one pair at a time.
+
+    Pairs are visited in lexicographic order, so the result is a pure
+    function of (signature, order, seed).
+    """
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    rng = Random(seed)
+    kinds = signature.kinds()
+    g = MixedGraph(signature, order)
+    for u in range(order):
+        for v in range(u + 1, order):
+            g.add_relation(u, v, kinds[rng.randrange(len(kinds))])
+    return CompleteMixedTarget(g, seed)
+
+
+def relation_scan_dumps(
+    graph: MixedGraph,
+    *,
+    coloring: Mapping[int, int] | None = None,
+    forests: Mapping[tuple[int, int], int] | None = None,
+    seed: int | None = None,
+    comments: Iterable[str] = (),
+) -> str:
+    """``fileio.dumps`` as it formatted each relation of ``relations()``."""
+    lines = [f"mixedgraph {FORMAT_VERSION}"]
+    if seed is not None:
+        lines.append(f"# seed {seed}")
+    for comment in comments:
+        lines.append(f"# {comment}")
+    lines.append(f"signature {graph.signature.m} {graph.signature.n}")
+    lines.append(f"vertices {graph.order}")
+    for u, v, rel in graph.relations():
+        if rel.kind == ARC_OUT:
+            lines.append(f"a {u} {v} {rel.color}")
+        elif rel.kind == EDGE:
+            lines.append(f"e {u} {v} {rel.color}")
+        else:
+            lines.append(f"a {v} {u} {rel.color}")
+    if coloring:
+        for v in sorted(coloring):
+            lines.append(f"color {v} {coloring[v]}")
+    if forests:
+        for (u, v) in sorted(forests):
+            lines.append(f"forest {u} {v} {forests[(u, v)]}")
+    return "\n".join(lines) + "\n"

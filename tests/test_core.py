@@ -223,6 +223,27 @@ def test_validate_names_each_corrupted_adjacency(writes, message):
     assert g.validate() == message
 
 
+@pytest.mark.parametrize(
+    "writes,relations,message",
+    [
+        # a negative neighbor would index a row from the end; here each
+        # such entry has its dual there and the count adds up
+        (
+            {(0, -1): edge(1), (2, 0): edge(1), (0, 2): edge(1), (1, -3): arc_in(1)},
+            4,
+            "neighbor -1 of vertex 0 out of range",
+        ),
+        ({(0, 5): edge(1), (1, 7): edge(1)}, 3, "neighbor 5 of vertex 0 out of range"),
+    ],
+)
+def test_validate_names_an_out_of_range_neighbor_the_count_misses(writes, relations, message):
+    g = _valid_graph()
+    for (u, v), rel in writes.items():
+        g._adj[u][v] = rel
+    g._e = relations
+    assert g.validate() == message
+
+
 def test_validate_names_a_relation_count_mismatch():
     g = _valid_graph()
     g._e += 1

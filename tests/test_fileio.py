@@ -15,8 +15,8 @@ from mixedgraphs import (
     loads_mapping,
     sample_complete,
 )
-from reference import reference_loads
-from strategies import SIGNATURES, mixed_graphs, same_graph, sparse_graph
+from reference import reference_loads, relation_scan_dumps
+from strategies import SIGNATURES, mixed_graphs, same_graph, seeded_graph, sparse_graph
 
 
 HEADER = "mixedgraph 1\nsignature 1 1\nvertices 4\n"
@@ -151,6 +151,31 @@ def test_dumps_orders_relations_and_sidecars():
         "forest 0 2 0",
         "forest 1 2 1",
     ]
+
+
+@given(
+    st.sampled_from(SIGNATURES + (ColorSignature(3, 12), ColorSignature(2, 1))),
+    st.integers(1, 12),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+    st.none() | st.integers(-(10**6), 10**6),
+    st.lists(st.text(max_size=8), max_size=2),
+    st.booleans(),
+)
+def test_dumps_matches_the_relation_scan_writer(sig, order, relations, seed, doc_seed, comments, sidecars):
+    """Byte for byte, including in-arcs, several colors, rows whose pairs
+    were added out of order, seeds, comments and sidecars."""
+    g = seeded_graph(sig, order, min(relations, order * (order - 1) // 2), seed)
+    kwargs = dict(seed=doc_seed, comments=comments)
+    if sidecars:
+        kwargs["coloring"] = {v: v % 3 + 1 for v in range(order) if v % 2}
+        kwargs["forests"] = {pair: i % 2 for i, pair in enumerate(g.underlying_edges())}
+    assert dumps(g, **kwargs) == relation_scan_dumps(g, **kwargs)
+
+
+def test_dumps_matches_the_relation_scan_writer_on_a_sampled_target():
+    g = sample_complete(ColorSignature(2, 3), 40, 9).graph
+    assert dumps(g, seed=9) == relation_scan_dumps(g, seed=9)
 
 
 # --- the loader against the eager reference loader ---------------------------

@@ -16,6 +16,7 @@ from mixedgraphs import (
     arc_out,
     check_homomorphism,
     check_property_q,
+    edge,
     extend_regular,
     find_homomorphism,
     greedy_homomorphism,
@@ -24,7 +25,7 @@ from mixedgraphs import (
     sample_complete,
     search_q_target,
 )
-from reference import ordered_check_property_q, quadratic_greedy
+from reference import ordered_check_property_q, pairwise_sample_complete, quadratic_greedy
 from strategies import (
     directed_cycle,
     directed_path,
@@ -205,6 +206,106 @@ def test_property_q_matches_ordered_audit_on_both_outcomes():
     assert outcomes.count("holds") >= 300
     assert sum(isinstance(x, int) for x in outcomes) >= 300
     assert all(outcomes.count(j) >= 10 for j in range(5))
+
+
+@pytest.mark.parametrize("sig", Q_SIGNATURES, ids=str)
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 40])
+def test_sample_complete_matches_pairwise_reference(sig, order):
+    """The bulk sampler draws the same kinds in the same pair order as the
+    one that installed each pair on its own, so rows match in content
+    and in ``neighbors`` order."""
+    for seed in (0, 1, 16, 2**31 + 7, -5):
+        fast = sample_complete(sig, order, seed)
+        slow = pairwise_sample_complete(sig, order, seed)
+        assert fast.seed == slow.seed == seed
+        assert fast.graph.e_count == slow.graph.e_count
+        for v in range(order):
+            assert list(fast.graph.neighbors(v).items()) == list(slow.graph.neighbors(v).items())
+        assert fast.graph.validate() is None
+
+
+def _digit_target(sig, order, digits):
+    """The complete target whose pairs, in lexicographic order, take the
+    kinds at the canonical positions that ``digits`` spells."""
+    kinds = sig.kinds()
+    pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+    assert len(digits) == len(pairs)
+    g = MixedGraph(sig, order)
+    for (u, v), digit in zip(pairs, digits):
+        g.add_relation(u, v, kinds[int(digit)])
+    return CompleteMixedTarget(g)
+
+
+def _deepest_counts(target, x, kind, v):
+    """The mask of the 1-tuple (x,) with ``kind``, and the counts of each
+    kind from v on it, in canonical order."""
+    mask = target.kind_masks[x].get(kind, 0)
+    rows = target.kind_masks[v]
+    return mask, [(mask & rows.get(k, 0)).bit_count() for k in target.graph.signature.kinds()]
+
+
+def test_property_q_holds_where_only_the_last_kind_bound_fails():
+    # At (0,) with kind in, vertex 1 lies outside the mask, so its last
+    # kind count is |mask| - (its other counts), one more than the bound
+    # that assumes it inside; that count meets the minimum exactly.
+    target = _digit_target(SIG, 7, "001110000111000101101")
+    spec = PropertySpec(2, (0, 0, 1))
+    mask, counts = _deepest_counts(target, 0, arc_in(1), 1)
+    assert not mask >> 1 & 1
+    assert counts == [mask.bit_count() - 1, 1]
+    assert _assert_q_matches_ordered_audit(target, spec) is None
+
+
+def test_property_q_first_violation_on_the_last_kind_of_the_last_vertex():
+    # Vertex 4 is inside the mask, so its last kind count is one below
+    # what the bound without it would allow.
+    target = _digit_target(SIG, 5, "0000011011")
+    spec = PropertySpec(2, (0, 0, 1))
+    mask, counts = _deepest_counts(target, 0, arc_out(1), 4)
+    assert mask >> 4 & 1 and counts == [mask.bit_count() - 1, 0]
+    assert _assert_q_matches_ordered_audit(target, spec) == QViolation(
+        (0, 4), (arc_out(1), arc_in(1)), 0, 1
+    )
+
+
+@pytest.mark.parametrize(
+    "sig,order,digits,violation",
+    [
+        # every vertex after 0 leaves room for the last kind, so only the
+        # counted minimum sees this one
+        (SIG, 6, "100000111111101", QViolation((0, 2), (arc_out(1), arc_out(1)), 0, 1)),
+        (
+            ColorSignature(1, 1),
+            8,
+            "1011000112002100000020010010",
+            QViolation((0, 2), (arc_out(1), arc_in(1)), 0, 1),
+        ),
+    ],
+)
+def test_property_q_first_violation_on_a_counted_kind(sig, order, digits, violation):
+    target = _digit_target(sig, order, digits)
+    assert violation.kinds[-1] != sig.kinds()[-1]
+    assert _assert_q_matches_ordered_audit(target, PropertySpec(2, (0, 0, 1))) == violation
+
+
+@pytest.mark.parametrize(
+    "target,spec,expected",
+    [
+        (CompleteMixedTarget(transitive_tournament(4)), PropertySpec(2, (0, 0, 0)), None),
+        (paley_tournament(11), PropertySpec(2, (1, 4, 1)), None),
+        (_digit_target(ColorSignature(0, 1), 5, "0" * 10), PropertySpec(2, (5, 4, 3)), None),
+        (
+            _digit_target(ColorSignature(0, 1), 5, "0" * 10),
+            PropertySpec(2, (5, 4, 4)),
+            QViolation((0, 1), (edge(1), edge(1)), 3, 4),
+        ),
+    ],
+)
+def test_property_q_deepest_level_past_the_last_vertex(target, spec, expected):
+    """A holding audit reaches the deepest level from a tuple ending at
+    the last vertex, with no vertex left to count; p = 1 has no counted
+    kind at all."""
+    assert _assert_q_matches_ordered_audit(target, spec) == expected
 
 
 def test_search_q_target_is_reproducible():
