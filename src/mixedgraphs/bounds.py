@@ -142,7 +142,12 @@ def degree_bounds(delta: int, p: int) -> DegreeBounds:
 
     The lower bound holds for every delta >= 1; the upper bound's
     hypothesis needs delta >= 5, so below that only the lower side is
-    reported.
+    reported.  The upper bound is the order c = 2(delta-1)**p p**(delta-1)
+    of ``targets.lemma_parameters(signature, delta)``, whose targets
+    absorb every graph of degeneracy delta - 1 greedily, plus the two
+    vertices that ``targets.extend_regular`` adds for a delta-regular
+    source, whose degeneracy is delta.  The paper's abstract states the
+    bound as c, without the + 2.
     """
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")

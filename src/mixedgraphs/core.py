@@ -510,21 +510,23 @@ def degeneracy_ordering(graph: MixedGraph) -> tuple[int, list[int]]:
     Repeatedly removes a minimum-degree vertex (ties to the smallest
     index) and reverses the removal sequence, so in the returned order
     every vertex has at most d earlier neighbors.  The minimum comes from
-    a binary heap of (degree, vertex) entries: a degree drop pushes a new
-    entry, which pops before the vertex's outdated ones, and those are
+    a binary heap of integer keys degree * n + vertex, which order as the
+    pairs (degree, vertex) do because vertex < n: a degree drop pushes a
+    new key, which pops before the vertex's outdated ones, and those are
     skipped once it is removed.  The pass costs O((n + m) log n) for n
     vertices and m relations.
     """
     n = graph.order
     adj = graph._adj
     deg = list(map(len, adj))
-    heap = list(zip(deg, range(n)))
+    heap = [k * n + v for v, k in enumerate(deg)]
     heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     alive = [True] * n
     removal: list[int] = []
     d = 0
     while heap:
-        k, v = heapq.heappop(heap)
+        k, v = divmod(pop(heap), n)
         if not alive[v]:
             continue
         d = max(d, k)
@@ -533,5 +535,5 @@ def degeneracy_ordering(graph: MixedGraph) -> tuple[int, list[int]]:
         for w in adj[v]:
             if alive[w]:
                 deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
+                push(heap, deg[w] * n + w)
     return d, removal[::-1]

@@ -564,8 +564,8 @@ def chromatic_number(graph: MixedGraph, budget: int = 10_000_000) -> ChromaticRe
         ]
         for a, rel, dual in added:
             abit = 1 << a
-            # blocks[bi] holds v too; those bans repeat the kind rule's
-            for x in blocks[bi]:
+            # blocks[bi] ends with v, whose bans here repeat the kind rule's
+            for x in blocks[bi][:-1]:
                 bans += [(u, abit) for u, r, _ in adj[x] if r is not rel and block_of[u] < 0]
             for y in blocks[a]:
                 bans += [(u, bit) for u, r, _ in adj[y] if r is not dual and block_of[u] < 0]

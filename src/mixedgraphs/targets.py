@@ -10,10 +10,11 @@ the orders the closed-form parameters predict.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
 from random import Random
+from typing import NamedTuple
 
 from .core import (
     ColorSignature,
@@ -30,41 +31,51 @@ from .solver import Homomorphism, check_homomorphism
 class CompleteMixedTarget:
     """A complete colored mixed graph, with the seed that produced it.
 
-    ``kind_masks`` is an index of the graph by relation kind, built on
-    first use and kept: ``kind_masks[v][rel]`` has bit w set exactly
-    when ``graph.relation_from(v, w)`` is ``rel``; a kind with no such
-    w has no entry, so the index holds only kinds the graph uses.  A
-    common neighborhood is then an AND of rows.  Building it reads each
-    adjacency row once and ORs in bits 1 << w made once for all rows.
-    The index lives here rather than on ``MixedGraph`` because a
-    complete graph is never mutated once wrapped and its rows take no
-    more memory than its adjacency dicts; the graph must not change
-    after it is built.
+    The graph is indexed by relation kind, one vertex at a time:
+    ``kind_row(v)`` maps each kind to the mask with bit w set exactly
+    when ``graph.relation_from(v, w)`` is that kind; a kind with no such
+    w has no entry, so a row holds only kinds v uses.  A common
+    neighborhood is then an AND of rows.  A row is built on first use,
+    from one read of v's adjacency row and the bits 1 << w made once per
+    target, and kept in the instance, so a greedy embedding pays only for
+    the rows of the images it uses.  ``kind_masks`` is the tuple of every
+    row, built through ``kind_row`` on first use and kept.  The index
+    lives here rather than on ``MixedGraph`` because a complete graph is
+    never mutated once wrapped and its rows take no more memory than its
+    adjacency dicts; the graph must not change after it is wrapped.
     """
 
     graph: MixedGraph
     seed: int | None = None
+    _rows: list[dict[RelationKind, int] | None] = field(
+        init=False, repr=False, compare=False
+    )
+    _bits: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.graph.order
         if self.graph.e_count != n * (n - 1) // 2:
             raise ValueError("target graph is not complete")
+        object.__setattr__(self, "_rows", [None] * n)
+        object.__setattr__(self, "_bits", [1 << w for w in range(n)])
 
     @property
     def order(self) -> int:
         return self.graph.order
 
-    @cached_property
-    def kind_masks(self) -> tuple[dict[RelationKind, int], ...]:
-        bits = [1 << w for w in range(self.graph.order)]
-        rows = []
-        for v in range(self.graph.order):
-            row: dict[RelationKind, int] = {}
-            get = row.get
+    def kind_row(self, v: int) -> dict[RelationKind, int]:
+        """Vertex v's ``{kind: mask}`` row, built on first use and kept."""
+        row = self._rows[v]
+        if row is None:
+            row = self._rows[v] = {}
+            get, bits = row.get, self._bits
             for w, rel in self.graph.neighbors(v).items():
                 row[rel] = get(rel, 0) | bits[w]
-            rows.append(row)
-        return tuple(rows)
+        return row
+
+    @cached_property
+    def kind_masks(self) -> tuple[dict[RelationKind, int], ...]:
+        return tuple(map(self.kind_row, range(self.order)))
 
 
 def sample_complete(signature: ColorSignature, order: int, seed: int) -> CompleteMixedTarget:
@@ -259,8 +270,7 @@ class PropertyViolatedError(RuntimeError):
         self.blocked = blocked
 
 
-@dataclass(frozen=True)
-class GreedyStep:
+class GreedyStep(NamedTuple):
     """One placement: the query answered and the image chosen."""
 
     vertex: int
@@ -292,20 +302,21 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
 
     Each adjacency row of ``graph`` is fetched once, and the kind a
     placed neighbor w needs is the dual of the current vertex's row
-    entry for w.  Candidates are an AND of the target's ``kind_masks``
-    rows and the blocked set is an OR of the image bits of the current
-    vertex's unplaced neighbors' neighbors (0 for unplaced ones), so a
-    step costs O(deg^2) big-int operations of target-order bits.  The
-    invariant that the placed neighbors of every unplaced vertex hold
-    distinct images is re-audited after each step for the unplaced
-    neighbors of the vertex just placed, the only vertices whose placed
-    neighborhoods changed; the finished map is audited again by
-    ``check_homomorphism``.
+    entry for w.  Candidates are an AND of the target's ``kind_row``
+    rows of the placed neighbors' images, so the target builds rows only
+    for the images the pass uses, and the blocked set is an OR of the
+    image bits of the current vertex's unplaced neighbors' neighbors (0
+    for unplaced ones), so a step costs O(deg^2) big-int operations of
+    target-order bits.  The invariant that the placed neighbors of every
+    unplaced vertex hold distinct images is re-audited after each step
+    for the unplaced neighbors of the vertex just placed, the only
+    vertices whose placed neighborhoods changed; the finished map is
+    audited again by ``check_homomorphism``.
     """
     tg = target.graph
     _require_same_signature(graph, tg)
     degeneracy, order = degeneracy_ordering(graph)
-    masks = target.kind_masks
+    kind_row = target.kind_row
     everything = (1 << tg.order) - 1
     rows = list(map(graph.neighbors, range(graph.order)))
     image = [-1] * graph.order
@@ -318,7 +329,7 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
         needed = tuple(around[w].dual() for w in placed_neighbors)
         candidates = everything
         for x, rel in zip(images, needed):
-            candidates &= masks[x].get(rel, 0)
+            candidates &= kind_row(x).get(rel, 0)
             if not candidates:
                 break
         future = [w for w in around if image[w] < 0]

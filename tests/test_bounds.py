@@ -14,6 +14,7 @@ from mixedgraphs import (
     chromatic_number,
     counting_inequality_check,
     degree_bounds,
+    lemma_parameters,
     nr_upper,
     planar_upper,
 )
@@ -116,9 +117,12 @@ def test_degree_lower_bound_certificate(delta, p):
 
 
 def test_degree_upper_matches_the_sparse_recipe():
-    # 2(d-1)^p p^(d-1) + 2 at d = 5, p = 2
-    assert degree_bounds(5, 2).upper == 2 * 4**2 * 2**4 + 2
+    # 2(d-1)^p p^(d-1) + 2 at d = 5, p = 2: the lemma's target order plus
+    # the two vertices extend_regular adds for a d-regular source
+    assert degree_bounds(5, 2).upper == 2 * 4**2 * 2**4 + 2 == 514
     assert degree_bounds(6, 3).upper == 2 * 5**3 * 3**5 + 2
+    for sig, delta in ((ColorSignature(1, 0), 5), (ColorSignature(0, 3), 6)):
+        assert degree_bounds(delta, sig.p).upper == lemma_parameters(sig, delta)[0] + 2
 
 
 # --- counting inequality ---------------------------------------------------------------

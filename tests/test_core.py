@@ -283,12 +283,84 @@ def test_heap_degeneracy_matches_min_scan(g):
     assert degeneracy_ordering(g) == min_scan_degeneracy(g)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 7])
+def test_heap_degeneracy_matches_min_scan_without_relations(order):
+    # order 0 (an empty heap), order 1, and isolated vertices, where every
+    # key is its vertex and the order is the vertices in reverse
+    g = MixedGraph(ColorSignature(1, 0), order)
+    assert degeneracy_ordering(g) == min_scan_degeneracy(g) == (0, list(range(order))[::-1])
+
+
 def test_degeneracy_ties_go_to_the_smallest_index():
     g = MixedGraph(ColorSignature(1, 0), 6)
     for i in range(5):
         g.add_arc(i, i + 1, 1)
     assert degeneracy_ordering(g) == (1, [5, 4, 3, 2, 1, 0])
     assert degeneracy_ordering(MixedGraph(ColorSignature(1, 0), 0)) == (0, [])
+
+
+# --- relation blocks ---------------------------------------------------------
+
+
+def _one_at_a_time(order, triples):
+    g = MixedGraph(ColorSignature(1, 0), order)
+    try:
+        for u, v, rel in triples:
+            g.add_relation(u, v, rel)
+    except ValueError:
+        return None
+    return g
+
+
+@given(
+    st.integers(0, 5),
+    st.lists(
+        st.tuples(
+            st.integers(-1, 6),
+            st.integers(-1, 6),
+            st.sampled_from([arc_out(1), arc_in(1), edge(1), arc_out(2)]),
+        ),
+        max_size=6,
+    ),
+)
+def test_relation_block_matches_one_at_a_time(order, triples):
+    g = MixedGraph(ColorSignature(1, 0), order)
+    us, vs, rels = map(list, zip(*triples)) if triples else ([], [], [])
+    expected = _one_at_a_time(order, triples)
+    assert g.add_relation_block(us, vs, rels) == (expected is not None)
+    if expected is None:
+        assert g.e_count == 0
+        assert all(g.degree(v) == 0 for v in range(order))
+    else:
+        assert list(g.relations()) == list(expected.relations())
+        assert g.e_count == expected.e_count
+
+
+@pytest.mark.parametrize(
+    "us, vs, rels",
+    [
+        ([], [], []),  # the empty block
+        ([-1], [1], [arc_out(1)]),
+        ([0], [-1], [arc_out(1)]),
+        ([3], [1], [arc_out(1)]),
+        ([0], [3], [arc_out(1)]),
+        ([0], [1], [edge(1)]),  # no edge colors in (1, 0)
+        ([1], [1], [arc_out(1)]),  # a loop
+        ([0, 1], [1, 0], [arc_out(1), arc_in(1)]),  # a repeated pair
+    ],
+)
+def test_relation_block_refusals_install_nothing(us, vs, rels):
+    g = MixedGraph(ColorSignature(1, 0), 3)
+    assert g.add_relation_block(us, vs, rels) == (not us)
+    assert g.e_count == 0
+    assert all(g.degree(v) == 0 for v in range(3))
+
+
+def test_relation_block_needs_a_graph_without_relations():
+    g = MixedGraph(ColorSignature(1, 0), 3)
+    g.add_arc(0, 1, 1)
+    with pytest.raises(ValueError, match="no relations"):
+        g.add_relation_block([], [], [])
 
 
 # --- common neighborhoods ----------------------------------------------------

@@ -56,6 +56,9 @@ def test_kind_masks_index_every_relation():
     g = target.graph
     kinds = g.signature.kinds()
     assert target.kind_masks is target.kind_masks
+    assert all(row is target.kind_row(v) for v, row in enumerate(target.kind_masks))
+    fresh = sample_complete(ColorSignature(1, 1), 9, 5)
+    assert [fresh.kind_row(v) for v in range(g.order)] == list(target.kind_masks)
     for v in range(g.order):
         for kind in kinds:
             expected = {w for w in range(g.order) if w != v and g.relation_from(v, w) == kind}
@@ -340,6 +343,25 @@ def test_greedy_embedding_into_paley_7():
             assert step.candidates >= 1
             assert step.blocked >= 0
             assert len(step.images) == len(step.kinds)
+
+
+def test_greedy_builds_only_the_rows_of_the_images_it_reads():
+    spec = PropertySpec(2, (7, 5, 3))
+    found = search_q_target(SIG, 120, spec, 20, 0)
+    assert found is not None
+    source = sparse_graph(SIG, 600, random.Random(1), max_degree=3, back=2)
+    target = CompleteMixedTarget(found.graph, found.seed)  # the search built every row of found
+    embedding = greedy_homomorphism(source, target)
+    read = {x for step in embedding.steps for x in step.images}
+    built = {v for v, row in enumerate(target._rows) if row is not None}
+    assert built == read
+    assert len(built) < target.order
+
+
+def test_greedy_steps_are_read_only():
+    step = greedy_homomorphism(directed_path(3), paley_tournament(7)).steps[0]
+    with pytest.raises(AttributeError):
+        step.image = 0
 
 
 def test_greedy_violation_pinpoints_the_query():
