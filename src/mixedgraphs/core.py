@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 ARC_OUT = "out"
@@ -141,26 +141,6 @@ class ColorSignature:
         """
         return _canonical_kinds(self.m, self.n)
 
-    @cached_property
-    def _positions(self) -> dict[RelationKind, int]:
-        """The canonical positions of the kinds looked up so far."""
-        return {}
-
-    def kind_index(self, rel: RelationKind) -> int:
-        """The canonical position of ``rel``; ValueError for a foreign kind.
-
-        Computed from the kind and color on first use and then kept, so
-        the cost does not grow with m and n."""
-        try:
-            return self._positions[rel]
-        except KeyError:
-            pass
-        if not self.contains(rel):
-            raise ValueError(f"{rel} is not a kind of signature {self}")
-        offset = {ARC_OUT: 0, ARC_IN: self.m, EDGE: 2 * self.m}[rel.kind]
-        self._positions[rel] = index = offset + rel.color - 1
-        return index
-
     def kind_at(self, index: int) -> RelationKind:
         """The kind at canonical position ``index``; IndexError outside
         0..p-1.  Makes only that kind, whatever m and n are."""
@@ -245,8 +225,9 @@ class MixedGraph:
 
         Range, loop, duplicate and color checks run inline, as in
         ``_check_free_pair`` and ``ColorSignature.contains``; those two
-        are called only to raise their errors.  Graph loading runs this
-        once per relation line that its line loop reads.
+        are called only to raise their errors.  Digit layers, copies and
+        quotients install their relations through it one at a time;
+        graph loading does only for lines outside the bulk block.
         """
         adj = self._adj
         order = self.order

@@ -12,11 +12,10 @@ acyclic palette.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .bounds import ceil_log
 from .core import (
-    ColorSignature,
     MixedGraph,
     _require_per_vertex,
     degeneracy_ordering,
@@ -434,31 +433,22 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
     )
 
 
-def digit_graphs(
-    graph: MixedGraph,
-    fd: ForestDecomposition,
-    vertex_order: Sequence[int] | None = None,
-    signature: ColorSignature | None = None,
-) -> list[MixedGraph]:
+def digit_graphs(graph: MixedGraph, fd: ForestDecomposition) -> list[MixedGraph]:
     """Relabel one graph into 1 + ceil_log(p, count) colored layers.
 
     Layer 0 gives every underlying edge the first canonical kind, viewed
-    from the endpoint earlier in ``vertex_order`` (degeneracy order by
-    default).  Layer l >= 1 encodes digit l of the edge's forest index
-    in base p as a canonical kind, viewed from the same endpoint.  Any
-    coloring that is a homomorphic image on every layer is proper and
-    acyclic on the original graph, which is what the pipeline exploits.
+    from the endpoint earlier in the degeneracy order.  Layer l >= 1
+    encodes digit l of the edge's forest index in base p as a canonical
+    kind, viewed from the same endpoint.  Any coloring that is a
+    homomorphic image on every layer is proper and acyclic on the
+    original graph, which is what the pipeline exploits.
     """
-    sig = signature if signature is not None else graph.signature
+    sig = graph.signature
     require_rich_signature(sig)
     audit = check_forest_decomposition(graph, fd)
     if audit is not None:
         raise ValueError(f"invalid forest decomposition: {audit}")
-    if vertex_order is None:
-        vertex_order = degeneracy_ordering(graph)[1]
-    if sorted(vertex_order) != list(range(graph.order)):
-        raise ValueError("vertex_order must be a permutation of the vertices")
-    pos = {v: i for i, v in enumerate(vertex_order)}
+    pos = {v: i for i, v in enumerate(degeneracy_ordering(graph)[1])}
     p = sig.p
     # every digit is below both p and fd.count, so only those kinds are made
     kinds = [sig.kind_at(d) for d in range(min(p, fd.count))]
@@ -502,9 +492,7 @@ class ProductColoringResult:
 def acyclic_from_homomorphisms(
     graph: MixedGraph,
     fd: ForestDecomposition | None = None,
-    vertex_order: Sequence[int] | None = None,
     hom_budget: int = 10_000_000,
-    signature: ColorSignature | None = None,
 ) -> ProductColoringResult:
     """Acyclic coloring via chromatic number searches of the digit layers.
 
@@ -521,7 +509,7 @@ def acyclic_from_homomorphisms(
         fd = greedy_forests(graph)
     layers = tuple(
         chromatic_number(layer, budget=hom_budget)
-        for layer in digit_graphs(graph, fd, vertex_order=vertex_order, signature=signature)
+        for layer in digit_graphs(graph, fd)
     )
     layer_blocks = [layer.witness.block_of() for layer in layers]
     dense: dict[tuple[int, ...], int] = {}

@@ -57,59 +57,18 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise FormatError(line_no, f"{what} must be an integer, got {token!r}") from None
 
 
-def _color_kind(
-    by_token: dict[str, RelationKind],
-    word: str,
-    token: str,
-    line_no: int,
-    graph: MixedGraph,
-    u: int,
-    v: int,
-) -> RelationKind:
-    """The kind of an ``a``/``e`` line whose color token is not yet in
-    ``by_token``, the table of tokens read so far for that word.
-
-    A color of the signature, in any spelling (``1``, ``01``, ``+1``),
-    is made into its kind and stored under its token, so the table holds
-    only colors the file uses, however large m and n are.  For any other
-    color, raises the FormatError that building the kind and adding it
-    to the graph would raise, checks in the same order, but without
-    making the kind.
-    """
-    c = _int(token, line_no, "color")
-    sig = graph.signature
-    if 1 <= c <= (sig.m if word == "a" else sig.n):
-        rel = by_token[token] = RelationKind(ARC_OUT if word == "a" else EDGE, c)
-        return rel
-    try:
-        if c < 1:
-            raise ValueError(f"color must be >= 1, got {c}")
-        graph._check_free_pair(u, v)
-    except ValueError as exc:
-        raise FormatError(line_no, str(exc)) from None
-    prefix = "+a" if word == "a" else "e"
-    raise FormatError(line_no, f"{prefix}{c} out of range for signature {sig}")
-
-
-def _load_block(
-    text: str,
-    lines: list[str],
-    start: int,
-    graph: MixedGraph,
-    by_token: dict[str, dict[str, RelationKind]],
-) -> int:
+def _load_block(text: str, lines: list[str], start: int, graph: MixedGraph) -> int:
     """Install the relation lines that open the body at ``lines[start]``
     in bulk, and return how many were installed.
 
     The block is the longest run of lines in ``dumps``'s exact relation
     format.  It is split into tokens at once; each distinct vertex token
-    is converted by ``int`` once.  Each distinct color token is checked
-    against the signature before its kind is made and stored in
-    ``by_token``, as ``_color_kind`` would store it; colors are keyed by
-    their word only when both ``a`` and ``e`` lines occur.  The rest is
-    checked by ``MixedGraph.add_relation_block``.  If any check fails,
-    nothing is installed and 0 is returned; the line loop then reads the
-    block and raises the error with its line number.
+    is converted by ``int`` once, and each distinct color token is
+    checked against the signature before its kind is made; colors are
+    keyed by their word only when both ``a`` and ``e`` lines occur.  The
+    rest is checked by ``MixedGraph.add_relation_block``.  If any check
+    fails, nothing is installed and 0 is returned; the line loop then
+    reads the block and raises the error with its line number.
     """
     head = "\n".join(lines[:start]) + "\n"
     if not text.startswith(head):
@@ -125,8 +84,7 @@ def _load_block(
             c = int(token)
             if not 1 <= c <= (sig.m if word == "a" else sig.n):
                 return 0
-            rel = RelationKind(ARC_OUT if word == "a" else EDGE, c)
-            kinds[key] = by_token[word][token] = rel
+            kinds[key] = RelationKind(ARC_OUT if word == "a" else EDGE, c)
         number = {token: int(token) for token in {*us, *vs}}.__getitem__
     except ValueError:
         return 0
@@ -139,29 +97,30 @@ def _load_block(
 def loads(text: str) -> GraphDocument:
     """Parse graph text, auditing every structural invariant.
 
-    A short loop reads the three header lines.  The relation lines that
-    follow them in ``dumps``'s exact format are installed in bulk
-    (``_load_block``) when all of them are valid.  The body loop then
-    reads the remaining lines, or the whole body when the block was
-    refused, without testing header state; so every FormatError, with
-    its line number, comes from that one loop.  Relations go through
+    One loop reads the lines in order.  Right after the ``vertices``
+    line, the relation lines that follow in ``dumps``'s exact format are
+    installed in bulk (``_load_block``) when all of them are valid, and
+    the loop skips them; otherwise it reads them itself, so every
+    FormatError, with its line number, comes from the loop.  A relation
+    line's color is checked against the signature before its kind is
+    made, so a signature with 10^9 colors costs no more than one with 1,
+    and a color the file gets wrong makes no kind.  Relations go through
     ``MixedGraph.add_relation``, whose errors become FormatErrors naming
-    the line.  Kinds are looked up by color token in tables filled as
-    tokens are first seen (``_color_kind``), so a signature with 10^9
-    colors costs no more than one with 1.  The finished graph is
-    re-audited by ``MixedGraph.validate``.
+    the line.  The finished graph is re-audited by ``MixedGraph.validate``.
     """
     lines = text.splitlines()
-    numbered = enumerate(lines, start=1)
+    doc: GraphDocument | None = None
     signature: ColorSignature | None = None
     header_seen = False
     seed: int | None = None
-
-    for line_no, raw in numbered:
+    line_no = 0  # lines read so far; the number of the line being read
+    while line_no < len(lines):
+        raw = lines[line_no]
+        line_no += 1
         if "#" in raw:
             seed_match = _SEED_COMMENT.search(raw)
             if seed_match and seed is None:
-                seed = int(seed_match.group(1))
+                seed = _int(seed_match.group(1), line_no, "seed")
             raw = raw[: raw.index("#")]
         tokens = raw.split()
         if not tokens:
@@ -183,49 +142,31 @@ def loads(text: str) -> GraphDocument:
                 signature = ColorSignature(m, n)
             except ValueError as exc:
                 raise FormatError(line_no, str(exc)) from None
-        else:
+        elif doc is None:
             if word != "vertices" or len(tokens) != 2:
                 raise FormatError(line_no, "expected 'vertices N' after the signature")
             order = _int(tokens[1], line_no, "vertex count")
             if order < 0:
                 raise FormatError(line_no, "vertex count must be non-negative")
-            break
-    else:
-        last = text.count("\n") + 1
-        raise FormatError(last, "incomplete file: header, signature and vertices required")
-
-    graph = MixedGraph(signature, order)
-    doc = GraphDocument(graph)
-    add_relation = graph.add_relation
-    by_token: dict[str, dict[str, RelationKind]] = {"a": {}, "e": {}}
-    start = line_no + _load_block(text, lines, line_no, graph, by_token)
-    for line_no, raw in enumerate(lines[start:], start=start + 1):
-        if "#" in raw:
-            if seed is None:
-                seed_match = _SEED_COMMENT.search(raw)
-                if seed_match:
-                    seed = int(seed_match.group(1))
-            raw = raw[: raw.index("#")]
-        tokens = raw.split()
-        if not tokens:
-            continue
-        word = tokens[0]
-
-        if word == "a" or word == "e":
+            graph = MixedGraph(signature, order)
+            doc = GraphDocument(graph)
+            line_no += _load_block(text, lines, line_no, graph)
+        elif word == "a" or word == "e":
             if len(tokens) != 4:
                 raise FormatError(line_no, f"expected '{word} u v color'")
+            u = _int(tokens[1], line_no, "vertex")
+            v = _int(tokens[2], line_no, "vertex")
+            c = _int(tokens[3], line_no, "color")
             try:
-                u = int(tokens[1])
-                v = int(tokens[2])
-            except ValueError:
-                u = _int(tokens[1], line_no, "vertex")
-                v = _int(tokens[2], line_no, "vertex")
-            table = by_token[word]
-            rel = table.get(tokens[3])
-            if rel is None:
-                rel = _color_kind(table, word, tokens[3], line_no, graph, u, v)
-            try:
-                add_relation(u, v, rel)
+                if 1 <= c <= (signature.m if word == "a" else signature.n):
+                    graph.add_relation(u, v, RelationKind(ARC_OUT if word == "a" else EDGE, c))
+                    continue
+                # the errors building the kind and adding it would raise, in order
+                if c < 1:
+                    raise ValueError(f"color must be >= 1, got {c}")
+                graph._check_free_pair(u, v)
+                prefix = "+a" if word == "a" else "e"
+                raise ValueError(f"{prefix}{c} out of range for signature {signature}")
             except ValueError as exc:
                 raise FormatError(line_no, str(exc)) from None
         elif word == "color":
@@ -257,6 +198,9 @@ def loads(text: str) -> GraphDocument:
         else:
             raise FormatError(line_no, f"unknown directive {word!r}")
 
+    if doc is None:
+        last = text.count("\n") + 1
+        raise FormatError(last, "incomplete file: header, signature and vertices required")
     audit = graph.validate()
     assert audit is None, f"parser produced an invalid graph: {audit}"
     doc.seed = seed

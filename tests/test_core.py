@@ -88,7 +88,6 @@ def test_signature_kind_order():
     kinds = sig.kinds()
     assert kinds == (arc_out(1), arc_out(2), arc_in(1), arc_in(2), edge(1))
     for i, kind in enumerate(kinds):
-        assert sig.kind_index(kind) == i
         assert sig.kind_at(i) == kind
 
 
@@ -97,8 +96,6 @@ def test_kind_positions_are_arithmetic(m, n):
     sig = ColorSignature(m, n)
     for i, kind in enumerate(sig.kinds()):
         assert sig.kind_at(i) is kind
-        assert sig.kind_index(kind) == i
-        assert sig.kind_index(kind) == i  # second lookup hits the kept table
     for i in (-1, sig.p):
         with pytest.raises(IndexError, match="out of range"):
             sig.kind_at(i)
@@ -107,7 +104,6 @@ def test_kind_positions_are_arithmetic(m, n):
 def test_huge_signature_positions_make_only_the_kinds_asked_for():
     sig = ColorSignature(10**9, 10**9)
     before = len(core._interned)
-    assert sig.kind_index(arc_in(999_999_937)) == 10**9 + 999_999_936
     assert sig.kind_at(2 * 10**9 + 4) is edge(5)
     assert sig.kind_at(10**9 + 999_999_936) is arc_in(999_999_937)
     assert len(core._interned) - before <= 3
@@ -119,9 +115,6 @@ def test_signature_rejects_foreign_kinds():
     assert not sig.contains(arc_out(2))
     assert not sig.contains(arc_in(2))
     assert sig.contains(arc_in(1))
-    for kind in (edge(1), arc_out(2), arc_in(2)):
-        with pytest.raises(ValueError, match="is not a kind of signature"):
-            sig.kind_index(kind)
     with pytest.raises(ValueError):
         ColorSignature(-1, 2)
     with pytest.raises(ValueError):

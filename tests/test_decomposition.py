@@ -434,9 +434,6 @@ def test_digit_layer_shape():
 
 def test_digit_layers_reject_bad_input():
     g = directed_cycle(4)
-    fd = greedy_forests(g)
-    with pytest.raises(ValueError):
-        digit_graphs(g, fd, vertex_order=[0, 1, 2, 2])
     bad = ForestDecomposition.from_assignment({(0, 1): 0})
     with pytest.raises(ValueError):
         digit_graphs(g, bad)

@@ -86,6 +86,8 @@ def test_arc_lines_survive_direction():
         (HEADER + "a 0 1 1\ne 2 3 1\na 3 0 1\ne 1 2 2\n", 7, "e2 out of range"),
         (HEADER + "a 0 1 1\na 2 " + "1" * 5000 + " 1\n", 5, "vertex must be an integer"),
         (HEADER + "a 0 1 1\na 2 3 " + "1" * 5000 + "\n", 5, "color must be an integer"),
+        ("mixedgraph 1\n# seed " + "1" * 5000 + "\nsignature 1 0\nvertices 1\n", 2, "seed must be an integer"),
+        (HEADER + "a 0 1 1  # seed " + "1" * 5000 + "\n", 4, "seed must be an integer"),
         (HEADER + "color 9 1\n", 4, "out of range"),
         (HEADER + "color 1 1\ncolor 1 2\n", 5, "twice"),
         (HEADER + "forest 0 1 0\n", 4, "not an underlying edge"),
@@ -207,12 +209,30 @@ def _respell(line, spelling):
     return f"{word} {u} {v} {spelling}{c}"
 
 
+# Line ends that str.splitlines() breaks at besides "\n".  The bulk block
+# ends at the first of them, so the line loop reads the rest.
+_OTHER_LINE_ENDS = ("\r\n", "\r", "\x0c", "\x85", "\u2028")
+
+
+def _join(draw, lines):
+    """``lines`` joined by "\\n"; for one text in five, every break is
+    another line end instead, and for one in five, a single break is."""
+    breaks = ["\n"] * (len(lines) - 1)
+    how = draw(st.integers(0, 4))
+    if how == 0 and breaks:
+        breaks = [draw(st.sampled_from(_OTHER_LINE_ENDS))] * len(breaks)
+    elif how == 1 and breaks:
+        breaks[draw(st.integers(0, len(breaks) - 1))] = draw(st.sampled_from(_OTHER_LINE_ENDS))
+    return "".join(map(str.__add__, lines, breaks + [""]))
+
+
 @st.composite
 def graph_texts(draw):
-    """Valid files: dumps of a graph with sidecars, then, for two texts in
-    three, decorated with blank lines, comments, seed comments and other
-    color spellings.  An undecorated text keeps all its relation lines
-    in the bulk block, so mutations land inside a long block."""
+    """Valid files: dumps of a graph with sidecars; for two texts in three,
+    decorated with blank lines, comments, seed comments and other color
+    spellings; then joined by ``_join``.  An undecorated text joined by
+    "\\n" keeps all its relation lines in the bulk block, so mutations
+    land inside a long block."""
     g = draw(mixed_graphs())
     coloring = draw(st.dictionaries(st.integers(0, g.order - 1), st.integers(-2, 5)))
     forests = {
@@ -234,7 +254,7 @@ def graph_texts(draw):
         elif how in ("01", "+1") and line[0] in "ae":
             line = _respell(line, "0" if how == "01" else "+")
         lines.append(line)
-    return "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n")))
+    return _join(draw, lines) + draw(st.sampled_from(("", "\n", "\n\n")))
 
 
 @given(graph_texts())
@@ -247,8 +267,8 @@ def test_loader_matches_reference_on_valid_files(text):
 @st.composite
 def mutated_texts(draw):
     """A valid file with one line dropped, duplicated, swapped with
-    another, one token replaced, or a token added.  Half the mutations
-    hit a relation or sidecar line."""
+    another, one token replaced, or a token added, joined again by
+    ``_join``.  Half the mutations hit a relation or sidecar line."""
     lines = draw(graph_texts()).splitlines()
     rng = draw(st.randoms(use_true_random=False))
     body = [i for i, line in enumerate(lines) if line[:1] in ("a", "e", "c", "f")]
@@ -268,7 +288,7 @@ def mutated_texts(draw):
         else:
             tokens[rng.randrange(len(tokens))] = rng.choice(("x", "-1", "0", "01", "9", "99"))
         lines[i] = " ".join(tokens)
-    return "\n".join(lines) + "\n"
+    return _join(draw, lines) + "\n"
 
 
 @settings(max_examples=300)
@@ -341,7 +361,7 @@ def test_dumped_relations_form_one_bulk_block(g, seed, comments, sidecars):
     lines = text.splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("vertices")) + 1
     graph = MixedGraph(g.signature, g.order)
-    assert fileio._load_block(text, lines, start, graph, {"a": {}, "e": {}}) == g.e_count
+    assert fileio._load_block(text, lines, start, graph) == g.e_count
     assert same_graph(graph, g)
 
 
