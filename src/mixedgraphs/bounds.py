@@ -79,33 +79,23 @@ def acyclic_upper_from_arb(k: int, r: int, p: int) -> int:
 def _ceil_log_log(k: int, p: int, outer: int) -> int:
     """Integer ceiling of log_outer(log_p(k)), exact, possibly negative.
 
-    Uses the equivalence outer**s >= log_p(k)  <=>  p**(outer**s) >= k,
-    which for negative s reads p >= k**(outer**(-s)).
+    For k > p it is the least s with outer**s >= log_p(k), an integer
+    power, so the least with outer**s >= ceil_log(p, k).  For k <= p it
+    is -j for the largest j with outer**j <= log_k(p), that is with
+    outer**j < ceil_log(k, p + 1).
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-
-    def holds(s: int) -> bool:
-        if s >= 0:
-            return p ** (outer**s) >= k
-        return p >= k ** (outer ** (-s))
-
-    s = 0
-    if holds(0):
-        while holds(s - 1):
-            s -= 1
-    else:
-        while not holds(s):
-            s += 1
-    return s
+    if k > p:
+        return ceil_log(outer, ceil_log(p, k))
+    return 1 - ceil_log(outer, ceil_log(k, p + 1))
 
 
 def acyclic_upper_from_chi(k: int, p: int, outer_log2: bool = False) -> int:
     """Acyclic upper bound k*k + k ** (2 + ceil(log_p log_p k)) from chi = k.
 
-    Valid for k >= 4.  ``outer_log2`` switches the outer logarithm to
-    base 2, the looser published variant; the default base-p exponent is
-    what the pipeline argument actually supports.
+    Valid for k >= 4.  The outer logarithm is to base p, or to base 2
+    with ``outer_log2``.
     """
     if k < 4:
         raise ValueError(f"k must be >= 4, got {k}")
@@ -166,7 +156,6 @@ def degree_bounds(delta: int, p: int) -> DegreeBounds:
 class BoundReport:
     """One checked inequality with both sides kept as exact integers."""
 
-    name: str
     value: int
     compared: int
     satisfied: bool
@@ -191,7 +180,6 @@ def counting_inequality_check(graph: MixedGraph, k: int) -> BoundReport:
     lhs = p ** (k * (k - 1) // 2) * k**graph.order
     rhs = p**graph.e_count
     return BoundReport(
-        name="counting-inequality",
         value=lhs,
         compared=rhs,
         satisfied=lhs >= rhs,

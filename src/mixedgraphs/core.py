@@ -221,23 +221,14 @@ class MixedGraph:
             raise ValueError(f"pair ({u}, {v}) already has a relation")
 
     def add_relation(self, u: int, v: int, rel: RelationKind) -> None:
-        """Install ``rel`` on the pair {u, v}, viewed from u.
-
-        Range, loop, duplicate and color checks run inline, as in
-        ``_check_free_pair`` and ``ColorSignature.contains``; those two
-        are called only to raise their errors.  Digit layers, copies and
-        quotients install their relations through it one at a time;
-        graph loading does only for lines outside the bulk block.
-        """
-        adj = self._adj
-        order = self.order
-        if not (0 <= u < order and 0 <= v < order) or u == v or v in adj[u]:
-            self._check_free_pair(u, v)
-        sig = self.signature
-        if rel.color > (sig.n if rel.kind == EDGE else sig.m):
-            raise ValueError(f"{rel} out of range for signature {sig}")
-        adj[u][v] = rel
-        adj[v][u] = rel._dual
+        """Install ``rel`` on the pair {u, v}, viewed from u; ValueError
+        unless u and v are distinct unrelated vertices and ``rel`` is a
+        kind of the signature."""
+        self._check_free_pair(u, v)
+        if not self.signature.contains(rel):
+            raise ValueError(f"{rel} out of range for signature {self.signature}")
+        self._adj[u][v] = rel
+        self._adj[v][u] = rel._dual
         self._e += 1
 
     def add_relation_block(
@@ -309,12 +300,6 @@ class MixedGraph:
     def underlying_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v, _ in self.relations()]
 
-    def copy(self) -> "MixedGraph":
-        g = MixedGraph(self.signature, self.order)
-        for u, v, rel in self.relations():
-            g.add_relation(u, v, rel)
-        return g
-
     def without_pair(self, u: int, v: int) -> "MixedGraph":
         """A copy with the relation on {u, v} removed."""
         self._check_vertex(u)
@@ -340,7 +325,6 @@ class MixedGraph:
             return None
         adj = self._adj
         order = self.order
-        m, n = self.signature.m, self.signature.n
         seen = 0
         for u in range(order):
             row = adj[u]
@@ -350,7 +334,7 @@ class MixedGraph:
                     return f"neighbor {v} of vertex {u} out of range"
                 if u == v:
                     return f"loop at vertex {u}"
-                if rel.color > (n if rel.kind == EDGE else m):
+                if not self.signature.contains(rel):
                     return f"color out of range: {rel} on pair ({u}, {v})"
                 if adj[v].get(u) is not rel._dual:
                     return f"parallel relations on pair ({u}, {v})"

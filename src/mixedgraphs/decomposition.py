@@ -441,7 +441,8 @@ def digit_graphs(graph: MixedGraph, fd: ForestDecomposition) -> list[MixedGraph]
     encodes digit l of the edge's forest index in base p as a canonical
     kind, viewed from the same endpoint.  Any coloring that is a
     homomorphic image on every layer is proper and acyclic on the
-    original graph, which is what the pipeline exploits.
+    original graph, which is what the pipeline exploits.  Each layer is
+    installed by one ``MixedGraph.add_relation_block`` call.
     """
     sig = graph.signature
     require_rich_signature(sig)
@@ -456,16 +457,15 @@ def digit_graphs(graph: MixedGraph, fd: ForestDecomposition) -> list[MixedGraph]
         ((u, v) if u < v else (v, u)): i for (u, v), i in fd.assignment.items()
     }
     digits = 0 if fd.count <= 1 else ceil_log(p, fd.count)
+    pairs = graph.underlying_edges()
+    xs = [u if pos[u] < pos[v] else v for u, v in pairs]
+    ys = [v if pos[u] < pos[v] else u for u, v in pairs]
     layers: list[MixedGraph] = []
     for layer in range(digits + 1):
         g = MixedGraph(sig, graph.order)
-        for u, v in graph.underlying_edges():
-            x, y = (u, v) if pos[u] < pos[v] else (v, u)
-            if layer == 0:
-                g.add_relation(x, y, kinds[0])
-            else:
-                digit = assign[(u, v)] // p ** (layer - 1) % p
-                g.add_relation(x, y, kinds[digit])
+        rels = [kinds[assign[pair] // p ** (layer - 1) % p if layer else 0] for pair in pairs]
+        installed = g.add_relation_block(xs, ys, rels)
+        assert installed, f"digit layer {layer} failed its relation checks"
         layers.append(g)
     return layers
 

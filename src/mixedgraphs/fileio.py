@@ -198,8 +198,8 @@ def loads(text: str) -> GraphDocument:
         else:
             raise FormatError(line_no, f"unknown directive {word!r}")
 
-    if doc is None:
-        last = text.count("\n") + 1
+    if doc is None:  # the missing line was due after the last one
+        last = len(lines) + 1
         raise FormatError(last, "incomplete file: header, signature and vertices required")
     audit = graph.validate()
     assert audit is None, f"parser produced an invalid graph: {audit}"

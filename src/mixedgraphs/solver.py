@@ -24,13 +24,8 @@ from .core import MixedGraph, RelationKind, _require_same_signature, special_pai
 class Homomorphism:
     """A total vertex map between graphs of the same signature."""
 
-    source_order: int
     target_order: int
     mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.mapping) != self.source_order:
-            raise ValueError("mapping must assign every source vertex")
 
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]
@@ -118,7 +113,7 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
     _require_same_signature(source, target)
     ns, nt = source.order, target.order
     if ns == 0:
-        return Homomorphism(0, nt, ())
+        return Homomorphism(nt, ())
     if nt == 0:
         return None
 
@@ -211,7 +206,7 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
     _run_nested(search(0, 0))
     if not found:
         return None
-    hom = Homomorphism(ns, nt, tuple(image))
+    hom = Homomorphism(nt, tuple(image))
     audit = check_homomorphism(source, target, hom.mapping)
     assert audit is None, f"solver produced an invalid homomorphism: {audit}"
     return hom
@@ -289,7 +284,7 @@ def quotient(graph: MixedGraph, partition: Partition) -> tuple[MixedGraph, Homom
         i, j = block_of[u], block_of[v]
         if image.relation_from(i, j) is None:
             image.add_relation(i, j, rel)
-    hom = Homomorphism(graph.order, partition.k, tuple(block_of[v] for v in range(graph.order)))
+    hom = Homomorphism(partition.k, tuple(block_of[v] for v in range(graph.order)))
     audit = check_homomorphism(graph, image, hom.mapping)
     assert audit is None, f"quotient construction broke: {audit}"
     return image, hom

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import add
 from random import Random
 from typing import NamedTuple
@@ -38,11 +37,11 @@ class CompleteMixedTarget:
     neighborhood is then an AND of rows.  A row is built on first use,
     from one read of v's adjacency row and the bits 1 << w made once per
     target, and kept in the instance, so a greedy embedding pays only for
-    the rows of the images it uses.  ``kind_masks`` is the tuple of every
-    row, built through ``kind_row`` on first use and kept.  The index
-    lives here rather than on ``MixedGraph`` because a complete graph is
-    never mutated once wrapped and its rows take no more memory than its
-    adjacency dicts; the graph must not change after it is wrapped.
+    the rows of the images it uses; ``check_property_q`` reads every row
+    through it.  The index lives here rather than on ``MixedGraph``
+    because a complete graph is never mutated once wrapped and its rows
+    take no more memory than its adjacency dicts; the graph must not
+    change after it is wrapped.
     """
 
     graph: MixedGraph
@@ -72,10 +71,6 @@ class CompleteMixedTarget:
             for w, rel in self.graph.neighbors(v).items():
                 row[rel] = get(rel, 0) | bits[w]
         return row
-
-    @cached_property
-    def kind_masks(self) -> tuple[dict[RelationKind, int], ...]:
-        return tuple(map(self.kind_row, range(self.order)))
 
 
 def sample_complete(signature: ColorSignature, order: int, seed: int) -> CompleteMixedTarget:
@@ -172,7 +167,7 @@ def check_property_q(target: CompleteMixedTarget, spec: PropertySpec) -> QViolat
     if n < spec.required(0):
         return QViolation((), (), n, spec.required(0))
     kinds = g.signature.kinds()
-    masks = [[row.get(kind, 0) for kind in kinds] for row in target.kind_masks]
+    masks = [[row.get(kind, 0) for kind in kinds] for row in map(target.kind_row, range(n))]
     columns = list(zip(*masks))[:-1]
 
     def last_level_holds(mask: int, first: int, need: int) -> bool:
@@ -358,7 +353,7 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
                     f"invariant broken after placing {v}: unplaced vertex {z} "
                     f"has placed neighbors sharing an image"
                 )
-    hom = Homomorphism(graph.order, tg.order, tuple(image))
+    hom = Homomorphism(tg.order, tuple(image))
     audit = check_homomorphism(graph, tg, hom.mapping)
     assert audit is None, f"greedy pass produced an invalid homomorphism: {audit}"
     return GreedyEmbedding(hom, tuple(order), degeneracy, tuple(steps))
@@ -441,7 +436,7 @@ def extend_regular(
     mapping = list(f)
     mapping[u] = u_new
     mapping[v] = v_new
-    hom = Homomorphism(graph.order, n + 2, tuple(mapping))
+    hom = Homomorphism(n + 2, tuple(mapping))
     audit = check_homomorphism(graph, extended, hom.mapping)
     assert audit is None, f"extension produced an invalid homomorphism: {audit}"
     return CompleteMixedTarget(extended, None), hom

@@ -13,7 +13,8 @@ bound the optimal decomposition must never exceed.  The pairwise
 acyclic-coloring audit and the relation-scan homomorphism audit must
 return the library's messages exactly.  The pair-by-pair target sampler
 and the relation-by-relation writer must produce the library's graphs
-and text exactly.
+and text exactly.  The power search for the ceiling of a double
+logarithm must return the library's closed form's values exactly.
 """
 
 from random import Random
@@ -112,7 +113,7 @@ def quadratic_greedy(graph: MixedGraph, target: CompleteMixedTarget) -> GreedyEm
                     f"invariant broken after placing {v}: unplaced vertex {z} "
                     f"has placed neighbors sharing an image"
                 )
-    hom = Homomorphism(graph.order, tg.order, tuple(image[v] for v in range(graph.order)))
+    hom = Homomorphism(tg.order, tuple(image[v] for v in range(graph.order)))
     audit = check_homomorphism(graph, tg, hom.mapping)
     assert audit is None, f"greedy pass produced an invalid homomorphism: {audit}"
     return GreedyEmbedding(hom, tuple(order), degeneracy, tuple(steps))
@@ -204,7 +205,7 @@ def set_domain_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorph
         )
     ns, nt = source.order, target.order
     if ns == 0:
-        return Homomorphism(0, nt, ())
+        return Homomorphism(nt, ())
     if nt == 0:
         return None
 
@@ -251,7 +252,7 @@ def set_domain_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorph
 
     if not search(0):
         return None
-    hom = Homomorphism(ns, nt, tuple(image))
+    hom = Homomorphism(nt, tuple(image))
     audit = check_homomorphism(source, target, hom.mapping)
     assert audit is None, f"solver produced an invalid homomorphism: {audit}"
     return hom
@@ -746,7 +747,7 @@ def reference_loads(text: str) -> GraphDocument:
             raise FormatError(line_no, f"unknown directive {word!r}")
 
     if doc is None:
-        last = text.count("\n") + 1
+        last = len(text.splitlines()) + 1
         raise FormatError(last, "incomplete file: header, signature and vertices required")
     audit = doc.graph.validate()
     assert audit is None, f"parser produced an invalid graph: {audit}"
@@ -880,3 +881,25 @@ def relation_scan_dumps(
         for (u, v) in sorted(forests):
             lines.append(f"forest {u} {v} {forests[(u, v)]}")
     return "\n".join(lines) + "\n"
+
+
+def power_search_ceil_log_log(k: int, p: int, outer: int) -> int:
+    """``bounds._ceil_log_log`` as it searched s one step at a time,
+    using outer**s >= log_p(k)  <=>  p**(outer**s) >= k, which for
+    negative s reads p >= k**(outer**(-s))."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+
+    def holds(s: int) -> bool:
+        if s >= 0:
+            return p ** (outer**s) >= k
+        return p >= k ** (outer ** (-s))
+
+    s = 0
+    if holds(0):
+        while holds(s - 1):
+            s -= 1
+    else:
+        while not holds(s):
+            s += 1
+    return s

@@ -18,6 +18,8 @@ from mixedgraphs import (
     nr_upper,
     planar_upper,
 )
+from mixedgraphs.bounds import _ceil_log_log
+from reference import power_search_ceil_log_log
 from strategies import directed_cycle
 
 
@@ -89,6 +91,17 @@ def test_acyclic_upper_outer_log_variants():
     assert acyclic_upper_from_chi(27, 3) == 27**2 + 27**3
     # statement variant with outer log base 2: ceil(log2 3) = 2 for log_3 27 = 3
     assert acyclic_upper_from_chi(27, 3, outer_log2=True) == 27**2 + 27**4
+
+
+def test_ceil_log_log_matches_the_power_search():
+    mismatches = [
+        (k, p, outer)
+        for k in range(2, 300)
+        for p in range(2, 300)
+        for outer in (2, 3, p)
+        if _ceil_log_log(k, p, outer) != power_search_ceil_log_log(k, p, outer)
+    ]
+    assert mismatches == []
 
 
 def test_degree_bounds_shape():

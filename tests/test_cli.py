@@ -270,6 +270,12 @@ def test_huge_signature_greedy_hom_and_extend_regular_make_few_kinds(tmp_path, c
     assert len(core._interned) - before <= 2
 
 
+def test_acyclic_upper_chi_answers_at_huge_p(capsys):
+    # a search over powers of k would build 5**(10**9) here
+    assert run(["bounds", "acyclic-upper-chi", "5", "1000000000"]) == 0
+    assert capsys.readouterr().out == "acyclic-upper-chi = 50\n"
+
+
 def test_exit_code_usage(tmp_path, capsys):
     assert run(["chi", str(tmp_path / "missing.mg")]) == 2
     bad = tmp_path / "bad.mg"

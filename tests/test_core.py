@@ -172,14 +172,6 @@ def test_without_pair_drops_exactly_one_pair():
     assert g.relation_from(0, 1) == arc_out(1)
 
 
-def test_copy_is_independent():
-    g = MixedGraph(ColorSignature(1, 0), 3)
-    g.add_arc(0, 1, 1)
-    h = g.copy()
-    h.add_arc(1, 2, 1)
-    assert g.relation_from(1, 2) is None
-
-
 @given(mixed_graphs())
 def test_generated_graphs_validate(g):
     assert g.validate() is None

@@ -97,6 +97,9 @@ def test_arc_lines_survive_direction():
         (HEADER + "banana 1\n", 4, "unknown directive"),
         ("", 1, "incomplete"),
         ("mixedgraph 1\nsignature 1 0\n", 3, "incomplete"),
+        ("mixedgraph 1\r\nsignature 1 0\r\n", 3, "incomplete"),
+        ("mixedgraph 1\rsignature 1 0\r", 3, "incomplete"),
+        ("mixedgraph 1\nsignature 1 0", 3, "incomplete"),
     ],
 )
 def test_format_errors_carry_line_numbers(text, line_no, needle):

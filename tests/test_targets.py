@@ -51,20 +51,17 @@ def test_sample_complete_is_deterministic_and_complete():
     assert a.graph.e_count == 15
 
 
-def test_kind_masks_index_every_relation():
+def test_kind_rows_index_every_relation():
     target = sample_complete(ColorSignature(1, 1), 9, 5)
     g = target.graph
     kinds = g.signature.kinds()
-    assert target.kind_masks is target.kind_masks
-    assert all(row is target.kind_row(v) for v, row in enumerate(target.kind_masks))
-    fresh = sample_complete(ColorSignature(1, 1), 9, 5)
-    assert [fresh.kind_row(v) for v in range(g.order)] == list(target.kind_masks)
+    assert all(target.kind_row(v) is target.kind_row(v) for v in range(g.order))
     for v in range(g.order):
         for kind in kinds:
             expected = {w for w in range(g.order) if w != v and g.relation_from(v, w) == kind}
-            row = target.kind_masks[v].get(kind, 0)
+            row = target.kind_row(v).get(kind, 0)
             assert {w for w in range(g.order) if row >> w & 1} == expected
-            assert (kind in target.kind_masks[v]) == bool(expected)
+            assert (kind in target.kind_row(v)) == bool(expected)
 
 
 def test_complete_target_rejects_missing_pairs():
@@ -242,8 +239,8 @@ def _digit_target(sig, order, digits):
 def _deepest_counts(target, x, kind, v):
     """The mask of the 1-tuple (x,) with ``kind``, and the counts of each
     kind from v on it, in canonical order."""
-    mask = target.kind_masks[x].get(kind, 0)
-    rows = target.kind_masks[v]
+    mask = target.kind_row(x).get(kind, 0)
+    rows = target.kind_row(v)
     return mask, [(mask & rows.get(k, 0)).bit_count() for k in target.graph.signature.kinds()]
 
 
