@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 from operator import add
 from random import Random
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .core import (
     ColorSignature,
@@ -73,26 +73,62 @@ class CompleteMixedTarget:
         return row
 
 
+_WORDS_PER_DRAW = 1 << 16
+
+
+def _randrange_run(rng: Random, p: int, count: int) -> Sequence[int]:
+    """The values of ``[rng.randrange(p) for _ in range(count)]``.
+
+    For p < 256 they are drawn in bulk.  CPython's ``randrange(p)``
+    (3.10-3.13) takes one Mersenne Twister word per try, keeps its top
+    k = ``p.bit_length()`` bits and tries again when they are >= p, and
+    ``getrandbits(32 * W)`` returns the next W words with word i in bits
+    32i..32i+31.  So the top byte of each word, shifted right by 8 - k,
+    is one try, and ``bytes.translate`` maps and rejects all of them at
+    C speed.  Each ``getrandbits`` call asks for at most 2**16 words,
+    sized to cover what is still needed, and the words after the last
+    value kept are thrown away, so ``rng`` must not be used afterwards.
+    For p >= 256 the values are drawn one ``randrange`` at a time.
+    """
+    if p >= 256:
+        randrange = rng.randrange
+        return [randrange(p) for _ in range(count)]
+    k = p.bit_length()
+    table = bytes(b >> (8 - k) for b in range(256))
+    reject = bytes(b for b in range(256) if table[b] >= p)
+    out = bytearray()
+    while len(out) < count:
+        need = count - len(out)
+        words = min(_WORDS_PER_DRAW, (need << k) // p + need // 16 + 64)
+        data = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        out += data[3::4].translate(table, reject)
+    del out[count:]
+    return out
+
+
 def sample_complete(signature: ColorSignature, order: int, seed: int) -> CompleteMixedTarget:
     """Sample a complete target, each pair's kind uniform and independent.
 
-    Pairs are visited in lexicographic order, one ``randrange`` draw
-    each, so the result is a pure function of (signature, order, seed).
+    Pairs are visited in lexicographic order and pair i takes the kind at
+    canonical position ``randrange(p)`` of the i-th draw of
+    ``Random(seed)``, so the result is a pure function of (signature,
+    order, seed).  The draws are made in bulk by ``_randrange_run``,
+    which returns exactly those values, and only the kinds drawn are
+    made, so a signature with a huge p costs no more than its pairs.
     The pairs and their kinds are listed first and installed by one
     ``MixedGraph.add_relation_block`` call, in the same order.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    rng = Random(seed)
-    kinds = signature.kinds()
-    p = len(kinds)
     us: list[int] = []
     vs: list[int] = []
     for u in range(order - 1):
         us += [u] * (order - 1 - u)
         vs += range(u + 1, order)
-    randrange = rng.randrange
-    rels = [kinds[randrange(p)] for _ in us]
+    p = signature.p
+    draws = _randrange_run(Random(seed), p, len(us))
+    kinds = {i: signature.kind_at(i) for i in (range(p) if p <= len(draws) else set(draws))}
+    rels = [kinds[i] for i in draws]
     g = MixedGraph(signature, order)
     g.add_relation_block(us, vs, rels)
     return CompleteMixedTarget(g, seed)

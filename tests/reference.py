@@ -838,7 +838,9 @@ def pairwise_sample_complete(signature: ColorSignature, order: int, seed: int) -
     """``targets.sample_complete`` as it installed one pair at a time.
 
     Pairs are visited in lexicographic order, so the result is a pure
-    function of (signature, order, seed).
+    function of (signature, order, seed).  It draws one ``randrange``
+    per pair, so it is also the oracle for the bulk draw of
+    ``targets._randrange_run``.
     """
     if order < 0:
         raise ValueError("order must be non-negative")

@@ -27,6 +27,7 @@ from mixedgraphs import (
     special_clique,
 )
 from mixedgraphs.solver import _partition_search
+from mixedgraphs.verification import _oracle_chromatic
 from strategies import (
     SIGNATURES,
     complete_graph,
@@ -44,31 +45,6 @@ from reference import (
     relation_scan_check_homomorphism,
     set_domain_homomorphism,
 )
-
-
-def _partitions(n: int):
-    """All set partitions of range(n), via restricted growth strings."""
-    labels = [0] * n
-    def rec(i: int, used: int):
-        if i == n:
-            blocks: dict[int, list[int]] = {}
-            for v, b in enumerate(labels):
-                blocks.setdefault(b, []).append(v)
-            yield Partition(tuple(tuple(blocks[b]) for b in sorted(blocks)))
-            return
-        for b in range(used + 1):
-            labels[i] = b
-            yield from rec(i + 1, used + (b == used))
-    if n == 0:
-        yield Partition(())
-        return
-    yield from rec(0, 0)
-
-
-def _oracle_chi(g: MixedGraph) -> int:
-    return min(
-        p.k for p in _partitions(g.order) if check_partition(g, p) is None
-    )
 
 
 def test_named_chromatic_numbers():
@@ -95,7 +71,7 @@ def test_solver_matches_partition_oracle_on_random_graphs():
                     g.add_relation(u, v, rng.choice(kinds))
         result = chromatic_number(g)
         assert result.exact
-        assert result.k == _oracle_chi(g)
+        assert result.k == _oracle_chromatic(g)
         assert check_partition(g, result.witness) is None
 
 

@@ -24,6 +24,7 @@ from mixedgraphs import (
     paley_tournament,
     sample_complete,
     search_q_target,
+    targets,
 )
 from reference import ordered_check_property_q, pairwise_sample_complete, quadratic_greedy
 from strategies import (
@@ -208,12 +209,23 @@ def test_property_q_matches_ordered_audit_on_both_outcomes():
     assert all(outcomes.count(j) >= 10 for j in range(5))
 
 
-@pytest.mark.parametrize("sig", Q_SIGNATURES, ids=str)
-@pytest.mark.parametrize("order", [0, 1, 2, 3, 40])
+_PAIRWISE_CASES = [(sig, order) for order in (0, 1, 2, 3, 40) for sig in Q_SIGNATURES] + [
+    # bench scale
+    (ColorSignature(1, 0), 160),
+    (ColorSignature(0, 2), 160),
+    # p = 255, the last bulk-drawn p, and p = 256, the first drawn pair by pair
+    (ColorSignature(127, 1), 12),
+    (ColorSignature(128, 0), 12),
+]
+
+
+@pytest.mark.parametrize(
+    "sig, order", _PAIRWISE_CASES, ids=[f"{order}-{sig}" for sig, order in _PAIRWISE_CASES]
+)
 def test_sample_complete_matches_pairwise_reference(sig, order):
     """The bulk sampler draws the same kinds in the same pair order as the
-    one that installed each pair on its own, so rows match in content
-    and in ``neighbors`` order."""
+    one that installed each pair on its own with one ``randrange`` each,
+    so rows match in content and in ``neighbors`` order."""
     for seed in (0, 1, 16, 2**31 + 7, -5):
         fast = sample_complete(sig, order, seed)
         slow = pairwise_sample_complete(sig, order, seed)
@@ -222,6 +234,68 @@ def test_sample_complete_matches_pairwise_reference(sig, order):
         for v in range(order):
             assert list(fast.graph.neighbors(v).items()) == list(slow.graph.neighbors(v).items())
         assert fast.graph.validate() is None
+
+
+@pytest.mark.parametrize("p", [*range(1, 10), 127, 128, 255, 256, 400])
+def test_randrange_run_reproduces_randrange(p):
+    """The bulk draw returns exactly what one ``randrange(p)`` per value
+    returns.  It rests on how CPython's ``random`` turns Mersenne Twister
+    words into ``randrange`` and ``getrandbits`` values."""
+    for count in (0, 1, 7, 5000):
+        for seed in (0, 1, -5, 2**31 + 7, 10**30):
+            rng = random.Random(seed)
+            expected = [rng.randrange(p) for _ in range(count)]
+            got = list(targets._randrange_run(random.Random(seed), p, count))
+            assert got == expected, (
+                f"the CPython random identity changed: the bulk draw differs from "
+                f"randrange({p}) at count {count}, seed {seed}"
+            )
+
+
+def test_sample_complete_draws_in_few_bulk_calls(monkeypatch):
+    """At bench scale the sampler asks the generator for its words in at
+    most three calls of at most 2**21 bits, and still draws the kinds one
+    ``randrange`` per pair would."""
+    asked = []
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, k):
+            asked.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(targets, "Random", CountingRandom)
+    for seed in (0, 1, 2**31 + 7):
+        asked.clear()
+        fast = sample_complete(SIG, 160, seed)
+        assert 1 <= len(asked) <= 3
+        assert max(asked) <= 2**21
+        slow = pairwise_sample_complete(SIG, 160, seed)
+        for v in range(160):
+            assert list(fast.graph.neighbors(v).items()) == list(slow.graph.neighbors(v).items())
+    # A run needing more than 2**16 words is split into calls of at most 2**21 bits.
+    asked.clear()
+    rng = random.Random(3)
+    assert list(targets._randrange_run(CountingRandom(3), 2, 100_000)) == [
+        rng.randrange(2) for _ in range(100_000)
+    ]
+    assert len(asked) >= 4 and max(asked) <= 2**21
+
+
+def test_sample_complete_makes_only_the_kinds_drawn(monkeypatch):
+    """A signature with 2 * 10**9 kinds samples a small target at once:
+    only the drawn kinds are made, never the whole kind table, whose
+    request fails here rather than filling the memory."""
+
+    def no_table(self):
+        raise AssertionError("sample_complete asked for the whole kind table")
+
+    monkeypatch.setattr(ColorSignature, "kinds", no_table)
+    sig = ColorSignature(10**9, 0)
+    for seed in (0, 1, 7):
+        target = sample_complete(sig, 4, seed)
+        assert target.graph.e_count == 6
+        assert target.graph.validate() is None
+        assert all(sig.contains(rel) for _, _, rel in target.graph.relations())
 
 
 def _digit_target(sig, order, digits):
