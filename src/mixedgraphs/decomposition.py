@@ -321,8 +321,10 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
     v's unplaced neighbors, and bans each block a for an unplaced u with
     two placed neighbors in one block c that are now joined in the
     forest of (a, c); that rule is re-checked only for such u and only
-    in the forests the placement linked.  The union-find still refuses a
-    cycle the masks missed.  The lower bound is ``_forest_count_bound``.
+    in the forests the placement linked.  So the masks are complete and
+    a placement never closes a cycle: every forest that gains links is
+    re-checked for every crowded vertex, one with two placed neighbors
+    in one block.  The lower bound is ``_forest_count_bound``.
     When the budget runs out, the best coloring found (singletons if
     none) is the witness and attains upper.  Witness blocks are in color
     order.
@@ -356,7 +358,7 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
         pair = (a * n + c if a < c else c * n + a) * n
         return len({root(pair + w) for w in group}) < len(group)
 
-    def place(v: int, b: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
+    def place(v: int, b: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         links: list[tuple[int, int]] = []
         linked: set[int] = set()  # the blocks c whose forest (b, c) gains links
         for w in adj[v]:
@@ -366,9 +368,8 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
             # c != b: a placed neighbor's block is in forbid[v]
             pair = (b * n + c if b < c else c * n + b) * n
             rv, rw = root(pair + v), root(pair + w)
-            if rv == rw:
-                cut(links)
-                return None
+            # a self-link would make root loop forever
+            assert rv != rw, "a two-colored cycle escaped the masks"
             if size.get(rv, 1) > size.get(rw, 1):
                 rv, rw = rw, rv
             up[rv] = rw

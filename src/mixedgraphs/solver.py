@@ -338,7 +338,7 @@ def _partition_search(
     block_of: list[int],
     forbid: list[int],
     blocks: list[list[int]],
-    place: Callable[[int, int], tuple[object, list[tuple[int, int]]] | None],
+    place: Callable[[int, int], tuple[object, list[tuple[int, int]]]],
     unplace: Callable[[int, object], None],
     lower: int,
     budget: int,
@@ -358,12 +358,12 @@ def _partition_search(
     forbidden anywhere, the first unplaced vertex of ``order``.
 
     A vertex v is tried in the existing blocks first and then in a new
-    one; each block considered costs one node, a refused one too.  A
-    block in ``forbid[v]`` is refused at once.  Otherwise v goes into
+    one; each block considered costs one node, a forbidden one too.  A
+    block in ``forbid[v]`` is skipped at once.  Otherwise v goes into
     ``block_of`` and ``blocks`` and the caller's ``place(v, b)`` applies
-    its own rule: it returns None to refuse, having undone its own
-    changes, or a pair of what ``unplace(v, ...)`` needs to undo them and
-    a list of bans (u, bits) for unplaced vertices u.  The search sets
+    its own rule.  The masks are the whole rule, so a placement never
+    refuses: it returns what ``unplace(v, ...)`` needs to undo it and a
+    list of bans (u, bits) for unplaced vertices u.  The search sets
     those bits in ``forbid`` (forward checking after Haralick and
     Elliott), keeps the bits it newly set on a trail, and after the
     subtree calls ``unplace`` while v is still in its block, then
@@ -388,8 +388,6 @@ def _partition_search(
     def search(idx: int, cursor: int) -> Generator:
         # every vertex of order[:cursor] stays placed in this subtree
         nonlocal bound, best_blocks, nodes, out_of_budget
-        if out_of_budget or len(blocks) >= bound:
-            return
         if idx == n:
             bound = len(blocks)
             best_blocks = tuple(tuple(b) for b in blocks)
@@ -420,24 +418,22 @@ def _partition_search(
                 blocks.append([])
             block_of[v] = bi
             blocks[bi].append(v)
-            placed = place(v, bi)
-            if placed is not None:
-                undo, bans = placed
-                trail = []  # (u, the bits of forbid[u] this placement set)
-                for u, bits in bans:
-                    bits &= ~forbid[u]
-                    if bits:
-                        forbid[u] |= bits
-                        narrowed[u] = (n - forbid[u].bit_count()) * n + rank[u]
-                        trail.append((u, bits))
-                yield search(idx + 1, cursor)
-                unplace(v, undo)
-                for u, bits in trail:
-                    forbid[u] ^= bits
-                    if forbid[u]:
-                        narrowed[u] = (n - forbid[u].bit_count()) * n + rank[u]
-                    else:
-                        del narrowed[u]
+            undo, bans = place(v, bi)
+            trail = []  # (u, the bits of forbid[u] this placement set)
+            for u, bits in bans:
+                bits &= ~forbid[u]
+                if bits:
+                    forbid[u] |= bits
+                    narrowed[u] = (n - forbid[u].bit_count()) * n + rank[u]
+                    trail.append((u, bits))
+            yield search(idx + 1, cursor)
+            unplace(v, undo)
+            for u, bits in trail:
+                forbid[u] ^= bits
+                if forbid[u]:
+                    narrowed[u] = (n - forbid[u].bit_count()) * n + rank[u]
+                else:
+                    del narrowed[u]
             block_of[v] = -1
             blocks[bi].pop()
             if new:
@@ -491,15 +487,17 @@ def chromatic_number(graph: MixedGraph, budget: int = 10_000_000) -> ChromaticRe
     already joined to a by a kind other than u's relation to w.  Placing
     v into block b bans b for v's neighbours and partners, bans for each
     neighbour every block joined to b by another kind, and checks each
-    join it creates against the neighbours of both blocks' members.  The
-    join check of a placement stays as the safety net for what the masks
-    miss, such as two placed neighbours in one block with different
-    kinds.  Vertices without neighbours are left out of the search and
-    put into block 0 at the end.  The vertices of ``special_clique`` are
-    placed first, each straight into a new block, and the first leaf is
-    the greedy DSATUR coloring.  When the budget runs out the best bounds
-    and partition so far are returned with ``exhausted`` set; the
-    partition is at worst the singletons.
+    join it creates against the neighbours of both blocks' members.  So
+    the masks are complete and a placement never clashes with a join: a
+    clash was banned when its join was made or when the neighbour was
+    placed, whichever came later, and two placed neighbours of u in one
+    block, with different kinds at u, are special-pair partners, which
+    never share a block.  Vertices without neighbours are left out of
+    the search and put into block 0 at the end.  The vertices of
+    ``special_clique`` are placed first, each straight into a new block,
+    and the first leaf is the greedy DSATUR coloring.  When the budget
+    runs out the best bounds and partition so far are returned with
+    ``exhausted`` set; the partition is at worst the singletons.
     """
     n = graph.order
     if n == 0:
@@ -534,7 +532,7 @@ def chromatic_number(graph: MixedGraph, budget: int = 10_000_000) -> ChromaticRe
         by_kind[a][kind] = by_kind[a].get(kind, 0) ^ 1 << c
         by_kind[c][dual] = by_kind[c].get(dual, 0) ^ 1 << a
 
-    def place(v: int, bi: int) -> tuple[list, list[tuple[int, int]]] | None:
+    def place(v: int, bi: int) -> tuple[list, list[tuple[int, int]]]:
         row = by_kind[bi]
         added: list[tuple[int, RelationKind, RelationKind]] = []  # new joins
         for w, rel, dual in adj[v]:
@@ -543,10 +541,7 @@ def chromatic_number(graph: MixedGraph, budget: int = 10_000_000) -> ChromaticRe
                 continue
             # bj != bi: a placed neighbour's block is in forbid[v]
             if linked[bi] >> bj & 1:
-                if not row.get(rel, 0) >> bj & 1:
-                    for join in added:
-                        toggle(bi, *join)
-                    return None
+                assert row.get(rel, 0) >> bj & 1, "a join clash escaped the masks"
                 continue
             toggle(bi, bj, rel, dual)
             added.append((bj, rel, dual))

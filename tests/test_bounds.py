@@ -19,6 +19,7 @@ from mixedgraphs import (
     planar_upper,
 )
 from mixedgraphs.bounds import _ceil_log_log
+from mixedgraphs.cli import run
 from reference import power_search_ceil_log_log
 from strategies import directed_cycle
 
@@ -84,6 +85,34 @@ def test_acyclic_upper_from_chi_spot_values():
     assert acyclic_upper_from_chi(5, 2) == 25 + 5**4
     with pytest.raises(ValueError):
         acyclic_upper_from_chi(3, 2)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: nr_upper(2, 0), "k and p must be >= 1"),
+        (lambda: arb_upper_from_chi(0, 2), "k must be >= 1, got 0"),
+        (lambda: arb_upper_from_chi(3, 1), "p must be >= 2, got 1"),
+        (lambda: acyclic_upper_from_arb(3, 0, 2), "k and r must be >= 1"),
+        (lambda: acyclic_upper_from_arb(0, 2, 2), "k and r must be >= 1"),
+        (lambda: acyclic_upper_from_arb(3, 2, 1), "p must be >= 2, got 1"),
+        (lambda: _ceil_log_log(1, 2, 2), "k must be >= 2, got 1"),
+        (lambda: acyclic_upper_from_chi(4, 1), "p must be >= 2, got 1"),
+        (lambda: degree_bounds(5, 1), "p must be >= 2, got 1"),
+        (lambda: counting_inequality_check(directed_cycle(3), 0), "k must be >= 1, got 0"),
+    ],
+)
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_degenerate_acyclic_upper_chi_is_a_usage_error(capsys):
+    # k = 4 <= p: ceil(log_2 log_p 4) = 1 - ceil_log(2, ceil_log(4, p + 1)) = 1 - 4
+    assert run(["bounds", "acyclic-upper-chi", "4", "1000000000", "--outer-log2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: degenerate parameters: exponent 2 + ceil(log log) = -1\n"
+    )
 
 
 def test_acyclic_upper_outer_log_variants():

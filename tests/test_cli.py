@@ -1,10 +1,15 @@
+import argparse
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from mixedgraphs import arc_out, core, fileio, paley_tournament
-from mixedgraphs.cli import run
+from mixedgraphs.cli import build_parser, run
 
 C5 = "mixedgraph 1\nsignature 1 0\nvertices 5\na 0 1 1\na 1 2 1\na 2 3 1\na 3 4 1\na 4 0 1\n"
 P4 = "mixedgraph 1\nsignature 1 0\nvertices 4\na 0 1 1\na 1 2 1\na 2 3 1\n"
@@ -302,13 +307,14 @@ def test_exit_code_budget(c5):
             for command in ("chi", "acyclic", "acyclic-pipeline")
             for value in ("0", "-5")
         ),
+        ["chi", "GRAPH", "--budget", "x"],
         ["search-q", "--sig", "1", "0", "--order", "5", "--tuples", "1",
          "--min", "1,1", "--attempts", "0", "--seed", "1"],
     ],
 )
 def test_negative_budget_is_a_usage_error(argv, c5, capsys):
     assert run([c5 if word == "GRAPH" else word for word in argv]) == 2
-    assert "positive" in capsys.readouterr().err
+    assert "must be a positive integer" in capsys.readouterr().err
 
 
 def test_stdin_input(c5, capsys, monkeypatch):
@@ -331,3 +337,96 @@ def test_self_check_reads_stdin_once(capsys, monkeypatch):
 def test_verify_subcommand_rejects_unknown_numbers(capsys):
     assert run(["verify-paper", "--criteria", "12"]) == 2
     assert "no criterion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["digits", "acyclic-pipeline"])
+def test_forest_lines_of_the_input_are_used(command, c5, tmp_path, capsys):
+    # three forests where the fewest are two, so the count shows whose they are
+    colored = tmp_path / "c5-fd.mg"
+    colored.write_text(C5 + "forest 0 1 0\nforest 1 2 0\nforest 2 3 1\nforest 3 4 1\nforest 4 0 2\n")
+    argv = [command, str(colored), "--format", "records"]
+    if command == "digits":
+        argv += ["-o", str(tmp_path / "layer")]
+    assert run(argv) == 0
+    assert _records(capsys)[0]["forests"] == 3
+
+
+@pytest.mark.parametrize("command", ["digits", "acyclic-pipeline"])
+def test_forests_file_without_forest_lines_is_a_usage_error(command, c5, tmp_path, capsys):
+    argv = [command, c5, "--forests", c5]
+    if command == "digits":
+        argv += ["-o", str(tmp_path / "layer")]
+    assert run(argv) == 2
+    assert f"{c5} has no forest lines" in capsys.readouterr().err
+
+
+def test_extend_regular_reports_a_failed_greedy_pass(tmp_path, capsys):
+    # the transitive K_4 tournament does not fit into QR_3 grown by two
+    k4 = tmp_path / "k4.mg"
+    k4.write_text(
+        "mixedgraph 1\nsignature 1 0\nvertices 4\n"
+        "a 0 1 1\na 0 2 1\na 0 3 1\na 1 2 1\na 1 3 1\na 2 3 1\n"
+    )
+    qr3 = tmp_path / "qr3.mg"
+    qr3.write_text(fileio.dumps(paley_tournament(3).graph))
+    assert run(["extend-regular", str(k4), str(qr3), "--format", "records"]) == 1
+    assert _records(capsys) == [{"found": False, "record": "extend-regular", "vertex": 1}]
+
+
+def test_verify_subcommand_runs_the_chosen_criteria(capsys):
+    assert run(["verify-paper", "--criteria", "1,8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["criterion", "1"], ["criterion", "8"]]
+    assert all(": PASS [" in line for line in lines)
+
+
+def test_arb_check_names_an_empty_forest(p4, tmp_path, capsys):
+    witness = tmp_path / "gap.mg"
+    witness.write_text(P4 + "forest 0 1 0\nforest 1 2 2\nforest 2 3 0\n")
+    assert run(["arb", str(witness), "--check"]) == 1
+    assert capsys.readouterr().out == "decomposition invalid: forest 1 is empty\n"
+
+
+# --- the installed entry point and the README ------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["bounds", "nr-upper", "5", "2"], 0),
+        (["hom", "C5", "C3"], 1),
+        (["nonsense"], 2),
+    ],
+    ids=["ok", "violated", "usage"],
+)
+def test_python_dash_m_keeps_the_exit_code_contract(argv, code, c5, tmp_path):
+    c3 = tmp_path / "c3.mg"
+    c3.write_text("mixedgraph 1\nsignature 1 0\nvertices 3\na 0 1 1\na 1 2 1\na 2 0 1\n")
+    files = {"C5": c5, "C3": str(c3)}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "mixedgraphs", *(files.get(word, word) for word in argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+
+
+def test_readme_command_table_lists_every_subcommand():
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("| command | does |"):].split("\n\n", 1)[0]
+    listed = {
+        span.split()[0]
+        for row in table.splitlines()[2:]
+        for span in re.findall(r"`([^`]+)`", row.split("|")[1])
+    }
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert listed == set(subparsers.choices)

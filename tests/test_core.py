@@ -156,6 +156,11 @@ def test_add_relation_rejects_bad_input():
         g.add_arc(1, 0, 1)
 
 
+def test_graph_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        MixedGraph(ColorSignature(1, 0), -1)
+
+
 def test_relation_from_rejects_loops():
     g = MixedGraph(ColorSignature(1, 0), 2)
     with pytest.raises(ValueError):
@@ -227,6 +232,16 @@ def test_validate_names_an_out_of_range_neighbor_the_count_misses(writes, relati
         g._adj[u][v] = rel
     g._e = relations
     assert g.validate() == message
+
+
+def test_validate_names_a_loop_the_count_misses():
+    # two stored loops add two row entries, so the row sizes still add
+    # up to twice the recorded count
+    g = _valid_graph()
+    g._adj[0][0] = arc_out(1)
+    g._adj[2][2] = edge(1)
+    g._e += 1
+    assert g.validate() == "loop at vertex 0"
 
 
 def test_validate_names_a_relation_count_mismatch():

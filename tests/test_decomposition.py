@@ -44,18 +44,6 @@ from strategies import (
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _oracle_arboricity(g: MixedGraph) -> int:
-    """Direct subset scan of ceil(e' / (v' - 1)); independent of the DP."""
-    edges = g.underlying_edges()
-    best = 0
-    for size in range(2, g.order + 1):
-        for subset in itertools.combinations(range(g.order), size):
-            inside = set(subset)
-            e = sum(1 for u, v in edges if u in inside and v in inside)
-            best = max(best, math.ceil(e / (size - 1)))
-    return best
-
-
 def _random_digraph(rng: random.Random, n: int, prob: float) -> MixedGraph:
     g = MixedGraph(ColorSignature(1, 0), n)
     for u in range(n):
@@ -92,7 +80,7 @@ def test_arboricity_matches_subset_oracle():
     rng = random.Random(2026)
     for _ in range(25):
         g = _random_digraph(rng, rng.randint(2, 7), rng.choice((0.3, 0.6, 0.9)))
-        assert nash_williams_density(g)[0] == _oracle_arboricity(g)
+        assert nash_williams_density(g)[0] == subset_arboricity(g)[0]
 
 
 def test_one_arc_among_25_vertices():

@@ -131,6 +131,11 @@ def test_mapping_round_trip():
     assert loads_mapping(dumps_mapping(mapping)) == mapping
 
 
+def test_mapping_skips_comments_and_blank_lines():
+    text = "# a map of two vertices\n\nmap 0 3  # the first\n   \nmap 1 0\n"
+    assert loads_mapping(text) == {0: 3, 1: 0}
+
+
 def test_mapping_rejects_garbage():
     with pytest.raises(FormatError, match="line 2"):
         loads_mapping("map 0 1\nmap 0 2\n")

@@ -127,6 +127,23 @@ def test_partition_checker_requires_exact_cover():
     assert check_partition(g, Partition(((0, 1), (1,)))) is not None
 
 
+@pytest.mark.parametrize(
+    "blocks,message",
+    [
+        (((0,), (), (1,)), "block 1 is empty"),
+        (((0,), (1, 2)), "vertex 2 in block 1 out of range"),
+        (((0,), (-1, 1)), "vertex -1 in block 1 out of range"),
+    ],
+)
+def test_partition_checker_names_malformed_blocks(blocks, message):
+    assert check_partition(directed_path(2), Partition(blocks)) == message
+
+
+def test_quotient_rejects_an_invalid_partition():
+    with pytest.raises(ValueError, match=r"^invalid partition: block 0 is not independent"):
+        quotient(directed_path(2), Partition(((0, 1),)))
+
+
 def test_quotient_produces_a_checked_image():
     g = directed_cycle(6)
     partition = Partition(((0, 3), (1, 4), (2, 5)))
@@ -290,24 +307,13 @@ def test_partition_search_order_is_pinned_on_a_seeded_corpus():
     )
 
 
-def _brute_force_chromatic_number(n: int, edges: list[tuple[int, int]]) -> int:
-    # vertex 0 takes color 0; a proper k-coloring of n >= 1 vertices exists for k = n
-    return next(
-        k
-        for k in range(1, n + 1)
-        if any(
-            all(c[u] != c[v] for u, v in edges)
-            for c in ((0, *rest) for rest in itertools.product(range(k), repeat=n - 1))
-        )
-    )
-
-
 def test_partition_engine_alone_finds_the_chromatic_number():
     # The engine with a toy rule, plain proper coloring: placing v into
     # block b bans b for v's unplaced neighbours, and nothing else needs
-    # undoing.  The engine itself must refuse the banned blocks, pick the
+    # undoing.  The engine itself must skip the banned blocks, pick the
     # vertices, and unwind block_of, forbid and blocks after every search,
-    # finished or cut by its budget.
+    # finished or cut by its budget.  At signature (0, 1) the chromatic
+    # number is the ordinary one, so the partition oracle checks the optimum.
     rng = random.Random(1414)
     for _ in range(150):
         n = rng.randint(2, 7)
@@ -335,7 +341,10 @@ def test_partition_engine_alone_finds_the_chromatic_number():
         assert sorted(v for block in best for v in block) == list(range(n))
         color = {v: i for i, block in enumerate(best) for v in block}
         assert all(color[u] != color[v] for u, v in edges)
-        assert len(best) == _brute_force_chromatic_number(n, edges)
+        plain = MixedGraph(ColorSignature(0, 1), n)
+        for u, v in edges:
+            plain.add_edge(u, v)
+        assert len(best) == _oracle_chromatic(plain)
         if not cut[2]:
             assert cut == runs[0]
 

@@ -52,6 +52,11 @@ def test_sample_complete_is_deterministic_and_complete():
     assert a.graph.e_count == 15
 
 
+def test_sample_complete_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        sample_complete(SIG, -1, 42)
+
+
 def test_kind_rows_index_every_relation():
     target = sample_complete(ColorSignature(1, 1), 9, 5)
     g = target.graph
@@ -390,6 +395,11 @@ def test_search_q_target_is_reproducible():
     assert same_graph(a.graph, b.graph)
     assert a.seed == b.seed
     assert check_property_q(a, spec) is None
+
+
+def test_search_q_target_needs_an_attempt():
+    with pytest.raises(ValueError, match="attempts must be >= 1"):
+        search_q_target(SIG, 7, PropertySpec(1, (1, 3)), 0, 16)
 
 
 def test_search_q_target_gives_up_honestly():
