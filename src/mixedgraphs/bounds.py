@@ -14,27 +14,65 @@ from math import isqrt
 
 from .core import MixedGraph
 
+# At most _TABLE_BASES bases below _TABLE_TOP keep their powers, each up to
+# the first one >= _TABLE_TOP: at most _TABLE_TOP.bit_length() entries a
+# base, whatever values ceil_log is asked about.
+_TABLE_TOP = 1 << 256
+_TABLE_BASES = 64
 _POWER_TABLES: dict[int, list[int]] = {}
 
 
-def _powers(base: int, at_least: int) -> list[int]:
-    table = _POWER_TABLES.setdefault(base, [1])
-    while table[-1] < at_least:
+def _power_table(base: int) -> list[int]:
+    """The powers of ``base`` up to the first >= _TABLE_TOP, kept for later
+    calls; a cache already holding _TABLE_BASES bases is emptied first."""
+    if len(_POWER_TABLES) >= _TABLE_BASES:
+        _POWER_TABLES.clear()
+    table = [1]
+    while table[-1] < _TABLE_TOP:
         table.append(table[-1] * base)
+    _POWER_TABLES[base] = table
     return table
+
+
+def _ceil_log_search(base: int, value: int) -> int:
+    """``ceil_log`` by binary lifting, storing nothing beyond the call.
+
+    The squares base**(2**j) are made until one reaches ``value``; the
+    largest t with base**t < value is then read off them bit by bit, from
+    the top, and the answer is t + 1.  Each step multiplies integers
+    below ``value``, so the cost is O(log log_base(value)) products.
+    """
+    if value == 1:
+        return 0
+    squares = [base]
+    while squares[-1] < value:
+        squares.append(squares[-1] * squares[-1])
+    squares.pop()
+    t, power = 0, 1
+    for j in range(len(squares) - 1, -1, -1):
+        step = power * squares[j]
+        if step < value:
+            t, power = t + (1 << j), step
+    return t + 1
 
 
 def ceil_log(base: int, value: int) -> int:
     """Least s >= 0 with base**s >= value (integer ceiling of log_base).
 
-    Exact for any size; backed by a cached power table so repeated calls
-    are cheap.
+    Exact for any size, with no floating point.  Values up to _TABLE_TOP
+    are answered by bisection in the base's cached power table; larger
+    values, and bases of _TABLE_TOP or more, by ``_ceil_log_search``,
+    which keeps nothing, so the cache stays bounded.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if value < 1:
         raise ValueError(f"value must be >= 1, got {value}")
-    return bisect_left(_powers(base, value), value)
+    if base < _TABLE_TOP:
+        table = _POWER_TABLES.get(base) or _power_table(base)
+        if value <= table[-1]:
+            return bisect_left(table, value)
+    return _ceil_log_search(base, value)
 
 
 def nr_upper(k: int, p: int) -> int:

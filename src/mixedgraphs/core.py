@@ -491,10 +491,13 @@ def degeneracy_ordering(graph: MixedGraph) -> tuple[int, list[int]]:
     removal: list[int] = []
     d = 0
     while heap:
-        k, v = divmod(pop(heap), n)
+        key = pop(heap)
+        v = key % n
         if not alive[v]:
             continue
-        d = max(d, k)
+        k = key // n
+        if k > d:
+            d = k
         alive[v] = False
         removal.append(v)
         for w in adj[v]:

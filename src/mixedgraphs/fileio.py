@@ -62,13 +62,15 @@ def _load_block(text: str, lines: list[str], start: int, graph: MixedGraph) -> i
     in bulk, and return how many were installed.
 
     The block is the longest run of lines in ``dumps``'s exact relation
-    format.  It is split into tokens at once; each distinct vertex token
-    is converted by ``int`` once, and each distinct color token is
-    checked against the signature before its kind is made; colors are
-    keyed by their word only when both ``a`` and ``e`` lines occur.  The
-    rest is checked by ``MixedGraph.add_relation_block``.  If any check
-    fails, nothing is installed and 0 is returned; the line loop then
-    reads the block and raises the error with its line number.
+    format.  It is split into tokens at once; each distinct color token
+    is checked against the signature before its kind is made, and colors
+    are keyed by their word only when both ``a`` and ``e`` lines occur.
+    Vertex tokens are looked up in one dict of the canonical spellings
+    ``str(i)`` of the graph's vertices, so a leading zero, a vertex out
+    of range or a token too long for ``int`` is no key.  The rest is
+    checked by ``MixedGraph.add_relation_block``.  If any check fails,
+    nothing is installed and 0 is returned; the line loop then reads the
+    block and raises the error with its line number, or reads ``007`` as 7.
     """
     head = "\n".join(lines[:start]) + "\n"
     if not text.startswith(head):
@@ -85,11 +87,15 @@ def _load_block(text: str, lines: list[str], start: int, graph: MixedGraph) -> i
             if not 1 <= c <= (sig.m if word == "a" else sig.n):
                 return 0
             kinds[key] = RelationKind(ARC_OUT if word == "a" else EDGE, c)
-        number = {token: int(token) for token in {*us, *vs}}.__getitem__
     except ValueError:
         return 0
+    number = {str(i): i for i in range(graph.order)}.__getitem__
+    try:
+        ends_u, ends_v = list(map(number, us)), list(map(number, vs))
+    except KeyError:
+        return 0
     rels = list(map(kinds.__getitem__, keys))
-    if not graph.add_relation_block(list(map(number, us)), list(map(number, vs)), rels):
+    if not graph.add_relation_block(ends_u, ends_v, rels):
         return 0
     return len(rels)
 

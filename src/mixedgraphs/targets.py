@@ -331,18 +331,18 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
     image is chosen.  Raises PropertyViolatedError when the candidate
     set is exhausted.
 
-    Each adjacency row of ``graph`` is fetched once, and the kind a
-    placed neighbor w needs is the dual of the current vertex's row
-    entry for w.  Candidates are an AND of the target's ``kind_row``
-    rows of the placed neighbors' images, so the target builds rows only
-    for the images the pass uses, and the blocked set is an OR of the
-    image bits of the current vertex's unplaced neighbors' neighbors (0
-    for unplaced ones), so a step costs O(deg^2) big-int operations of
-    target-order bits.  The invariant that the placed neighbors of every
-    unplaced vertex hold distinct images is re-audited after each step
-    for the unplaced neighbors of the vertex just placed, the only
-    vertices whose placed neighborhoods changed; the finished map is
-    audited again by ``check_homomorphism``.
+    Each adjacency row of ``graph`` is fetched once, and each step walks
+    the current vertex's sorted row once.  A placed neighbor w adds its
+    image and the kind it needs, the dual of the row entry for w, and
+    ANDs the target's ``kind_row`` mask of that image into the
+    candidates until they reach 0, so the target builds rows only for
+    the images the pass uses.  An unplaced neighbor z has the images of
+    its placed neighbors listed once; their bits OR into the blocked
+    set, so a step costs O(deg^2) operations on target-order big ints.
+    The same lists, with the chosen image appended, re-audit the
+    invariant that the placed neighbors of every unplaced vertex hold
+    distinct images, for the only vertices whose placed neighborhoods
+    changed; the finished map is audited again by ``check_homomorphism``.
     """
     tg = target.graph
     _require_same_signature(graph, tg)
@@ -351,39 +351,45 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
     everything = (1 << tg.order) - 1
     rows = list(map(graph.neighbors, range(graph.order)))
     image = [-1] * graph.order
-    image_bit = [0] * graph.order
     steps: list[GreedyStep] = []
     for v in order:
         around = rows[v]
-        placed_neighbors = [w for w in sorted(around) if image[w] >= 0]
-        images = tuple(image[w] for w in placed_neighbors)
-        needed = tuple(around[w].dual() for w in placed_neighbors)
+        images: list[int] = []
+        needed: list[RelationKind] = []
+        future: list[int] = []
         candidates = everything
-        for x, rel in zip(images, needed):
-            candidates &= kind_row(x).get(rel, 0)
-            if not candidates:
-                break
-        future = [w for w in around if image[w] < 0]
+        for w in sorted(around):
+            x = image[w]
+            if x < 0:
+                future.append(w)
+            else:
+                rel = around[w].dual()
+                images.append(x)
+                needed.append(rel)
+                if candidates:
+                    candidates &= kind_row(x).get(rel, 0)
         blocked = 0
-        for y in future:
-            for x in rows[y]:
-                blocked |= image_bit[x]
+        seen: list[list[int]] = []
+        for z in future:
+            placed = [image[x] for x in rows[z] if image[x] >= 0]
+            for x in placed:
+                blocked |= 1 << x
+            seen.append(placed)
         admissible = candidates & ~blocked
         if not admissible:
             raise PropertyViolatedError(
-                v, images, needed, _bits(candidates), _bits(blocked)
+                v, tuple(images), tuple(needed), _bits(candidates), _bits(blocked)
             )
-        lowest = admissible & -admissible
-        choice = lowest.bit_length() - 1
+        choice = (admissible & -admissible).bit_length() - 1
         image[v] = choice
-        image_bit[v] = lowest
         steps.append(
-            GreedyStep(
-                v, images, needed, candidates.bit_count(), blocked.bit_count(), choice
+            GreedyStep._make(
+                (v, tuple(images), tuple(needed), candidates.bit_count(),
+                 blocked.bit_count(), choice)
             )
         )
-        for z in sorted(future):
-            placed = [image[w] for w in rows[z] if image[w] >= 0]
+        for z, placed in zip(future, seen):
+            placed.append(choice)
             if len(set(placed)) != len(placed):
                 raise AssertionError(
                     f"invariant broken after placing {v}: unplaced vertex {z} "
@@ -444,8 +450,11 @@ def extend_regular(
 
     n = tg.order
     extended = MixedGraph(graph.signature, n + 2)
-    for a, b, rel in tg.relations():
-        extended.add_relation(a, b, rel)
+    copied = list(tg.relations())
+    installed = extended.add_relation_block(
+        [a for a, _, _ in copied], [b for _, b, _ in copied], [rel for _, _, rel in copied]
+    )
+    assert installed, "the target's relations failed their checks in the extension"
     u_new, v_new = n, n + 1
 
     for fresh, original in ((u_new, u), (v_new, v)):

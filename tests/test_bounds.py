@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,10 +22,12 @@ from mixedgraphs import (
     nr_upper,
     planar_upper,
 )
-from mixedgraphs.bounds import _ceil_log_log
+from mixedgraphs.bounds import _ceil_log_log, _ceil_log_search
 from mixedgraphs.cli import run
 from reference import power_search_ceil_log_log
 from strategies import directed_cycle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # --- ceil_log -------------------------------------------------------------------
@@ -48,6 +54,41 @@ def test_ceil_log_input_validation():
         ceil_log(1, 5)
     with pytest.raises(ValueError):
         ceil_log(2, 0)
+
+
+@given(
+    st.integers(2, 2**300),
+    st.integers(0, 2**700) | st.integers(0, 600).map(lambda e: 2**e),
+    st.integers(-1, 1),
+)
+def test_ceil_log_search_matches_the_table_and_certificates(base, value, nudge):
+    # values on both sides of the cache's top, powers of two and their
+    # neighbours included; the search alone, and ceil_log, which answers
+    # from the table below the top
+    value = max(1, value + nudge)
+    s = _ceil_log_search(base, value)
+    assert s == ceil_log(base, value)
+    assert base**s >= value
+    if s > 0:
+        assert base ** (s - 1) < value
+
+
+def test_ceil_log_of_a_huge_value_keeps_the_power_table_bounded():
+    # a fresh process, so the table holds only what this call left
+    script = (
+        "from mixedgraphs import bounds\n"
+        "v = 10**20000\n"
+        "assert bounds.ceil_log(2, v) == (v - 1).bit_length()\n"
+        "table = bounds._POWER_TABLES[2]\n"
+        "assert len(table) <= bounds._TABLE_TOP.bit_length(), len(table)\n"
+        "assert table[-2] < bounds._TABLE_TOP <= table[-1]\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # --- closed forms ------------------------------------------------------------------

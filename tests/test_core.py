@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +26,7 @@ from mixedgraphs import (
 )
 from mixedgraphs import core
 from reference import min_scan_degeneracy
-from strategies import SIGNATURES, mixed_graphs, sparse_graphs
+from strategies import SIGNATURES, mixed_graphs, sparse_graph, sparse_graphs
 
 
 # --- relation kinds and signatures -----------------------------------------
@@ -289,6 +290,24 @@ def test_heap_degeneracy_matches_min_scan_without_relations(order):
     # key is its vertex and the order is the vertices in reverse
     g = MixedGraph(ColorSignature(1, 0), order)
     assert degeneracy_ordering(g) == min_scan_degeneracy(g) == (0, list(range(order))[::-1])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_heap_degeneracy_matches_min_scan_on_a_large_sparse_graph(seed):
+    # 1 500 vertices of degree at most 3 tie on degree all the time, and
+    # the heap keys degree * 1500 + vertex run far past the orders the
+    # strategies draw
+    g = sparse_graph(ColorSignature(1, 1), 1500, Random(seed))
+    assert degeneracy_ordering(g) == min_scan_degeneracy(g)
+
+
+@pytest.mark.parametrize("kind", [RelationKind(ARC_OUT, 1), RelationKind(EDGE, 1)])
+def test_heap_degeneracy_matches_min_scan_on_one_related_pair(kind):
+    # order 2, where the keys are 2 * degree + vertex; orders 1 and 2
+    # without relations are in ..._without_relations
+    g = MixedGraph(ColorSignature(1, 1), 2)
+    g.add_relation(1, 0, kind)
+    assert degeneracy_ordering(g) == min_scan_degeneracy(g) == (1, [1, 0])
 
 
 def test_degeneracy_ties_go_to_the_smallest_index():

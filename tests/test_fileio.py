@@ -328,6 +328,9 @@ _BLOCK_EDITS = {
     "vertex-equal-to-order": lambda lines, i: "{0} {1} 64 {3}".format(*lines[i].split()),
     "color-above-signature": lambda lines, i: "{0} {1} {2} 2".format(*lines[i].split()),
     "color-01": lambda lines, i: _respell(lines[i], "0"),
+    # with vertex-equal-to-order, vertex tokens that spell no vertex canonically
+    "vertex-007": lambda lines, i: "{0} 00{1} {2} {3}".format(*lines[i].split()),
+    "vertex-5000-digits": lambda lines, i: "{0} {4} {2} {3}".format(*lines[i].split(), "7" * 5000),
 }
 
 
@@ -340,7 +343,7 @@ def test_bulk_block_errors_match_the_reference(where, edit):
     text = "\n".join(lines) + "\n"
     outcome = _outcome(loads, text)
     assert outcome == _outcome(reference_loads, text)
-    if edit == "color-01":
+    if edit in ("color-01", "vertex-007"):
         assert outcome[0] == "ok"
     else:
         # a pair is refused where it repeats, one line late on the first line

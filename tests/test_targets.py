@@ -543,6 +543,25 @@ def test_extended_target_stays_complete():
     assert extended.graph.e_count == n * (n - 1) // 2
 
 
+@pytest.mark.parametrize(
+    "target", [paley_tournament(7), sample_complete(SIG, 30, 1)], ids=["qr7", "sampled-30"]
+)
+def test_extend_regular_copies_the_target_rows_in_order(target):
+    # The copy is one relation block.  Each target vertex's row must open
+    # with the entries of the one-at-a-time copy, in the same order, so
+    # printed extensions keep their bytes; the fresh vertices come after.
+    n = target.order
+    one_at_a_time = MixedGraph(SIG, n + 2)
+    for a, b, rel in target.graph.relations():
+        one_at_a_time.add_relation(a, b, rel)
+    extended, _ = extend_regular(directed_cycle(5), target)
+    rows = [list(extended.graph.neighbors(x).items()) for x in range(n)]
+    assert [row[: n - 1] for row in rows] == [
+        list(one_at_a_time.neighbors(x).items()) for x in range(n)
+    ]
+    assert all(y >= n for row in rows for y, _ in row[n - 1 :])
+
+
 def test_extend_regular_validates_the_source():
     target = paley_tournament(7)
     with pytest.raises(ValueError):
