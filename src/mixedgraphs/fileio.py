@@ -67,15 +67,18 @@ def _load_block(text: str, lines: list[str], start: int, graph: MixedGraph) -> i
     are keyed by their word only when both ``a`` and ``e`` lines occur.
     Vertex tokens are looked up in one dict of the canonical spellings
     ``str(i)`` of the graph's vertices, so a leading zero, a vertex out
-    of range or a token too long for ``int`` is no key.  The rest is
-    checked by ``MixedGraph.add_relation_block``.  If any check fails,
-    nothing is installed and 0 is returned; the line loop then reads the
-    block and raises the error with its line number, or reads ``007`` as 7.
+    of range or a token too long for ``int`` is no key; an empty block
+    returns 0 before that dict is built.  The rest is checked by
+    ``MixedGraph.add_relation_block``.  If any check fails, nothing is
+    installed and 0 is returned; the line loop then reads the block and
+    raises the error with its line number, or reads ``007`` as 7.
     """
     head = "\n".join(lines[:start]) + "\n"
     if not text.startswith(head):
         return 0
     tokens = _BULK_BLOCK.match(text, len(head)).group().split()
+    if not tokens:
+        return 0
     words, us, vs, colors = tokens[0::4], tokens[1::4], tokens[2::4], tokens[3::4]
     keys: list = colors if len(set(words)) == 1 else list(zip(words, colors))
     kinds: dict = {}

@@ -5,11 +5,13 @@ homomorphic image.  Homomorphic images correspond to vertex partitions
 whose blocks are independent and pairwise joined by at most one relation
 kind, so the search branches over such partitions directly.
 
-Everything here is deterministic and exact within a node budget.  The
-searches run on an explicit stack, so the budget rather than the
-recursion limit bounds the graphs they take: the tests run
-``find_homomorphism`` and ``chromatic_number`` on a 1500-vertex path,
-and ``chromatic_number`` on 20 000 vertices.
+Everything here is deterministic and exact within a node budget.  No
+search recurses: ``find_homomorphism`` is one loop over per-depth
+arrays and a flat trail, and the partition search runs its generators
+on an explicit stack.  So memory and the budget, not the recursion
+limit, bound the graphs they take: the tests run both on a 1550-vertex
+oriented path with the recursion limit 50 frames above the caller, and
+``chromatic_number`` on 20 000 vertices.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
 
-from .core import MixedGraph, RelationKind, _require_same_signature, special_pairs
+from .core import MixedGraph, RelationKind, _require_same_signature
 
 
 @dataclass(frozen=True)
@@ -102,13 +104,22 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
     values in index order.
 
     Candidate sets are int bitmasks over the target's vertices.  An index
-    built once per call, ``rows[x][i]`` with bit y set exactly when
-    ``target.relation_from(x, y)`` is the i-th kind the target uses,
-    turns each filter into one AND; a source kind the target does not
-    use refutes at once.  Only the unassigned vertices whose candidate
-    set has shrunk are scanned for the smallest, so a node costs the
-    degree of its vertex plus that frontier rather than a pass over the
-    whole source.
+    built once per call, ``rows[x][kind]`` with bit y set exactly when
+    ``target.relation_from(x, y)`` is ``kind``, for every kind the target
+    uses, turns each filter into one AND; a source kind the target does
+    not use refutes at once.  Only the unassigned vertices whose
+    candidate set has shrunk are scanned for the smallest, each keyed by
+    the int size * ns + v, so a node costs the degree of its vertex plus
+    that frontier rather than a pass over the whole source.
+
+    The search is one loop over per-depth lists of ints, allocated once:
+    the vertex of each depth, its untried values, the key it was picked
+    by (-1 when nothing was narrowed) and where its narrowings start on
+    the trail.  The trail is one flat list ``[w, old, w, old, ...]`` of
+    narrowed vertices and their previous candidate sets, cut back to a
+    depth's start on backtrack.  A node leaves no object alive for the
+    collector to traverse, and the depth is bounded by memory rather
+    than by the interpreter's recursion limit.
     """
     _require_same_signature(source, target)
     ns, nt = source.order, target.order
@@ -117,95 +128,93 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
     if nt == 0:
         return None
 
-    # one column per kind the target uses, whatever the signature's size
-    used = dict.fromkeys(rel for x in range(nt) for rel in target.neighbors(x).values())
-    column = {rel: i for i, rel in enumerate(used)}
-    rows = [[0] * len(column) for _ in range(nt)]
-    for x in range(nt):
-        for y, rel in target.neighbors(x).items():
-            rows[x][column[rel]] |= 1 << y
-    try:
-        adj = [
-            [(w, column[rel]) for w, rel in source.neighbors(u).items()]
-            for u in range(ns)
-        ]
-    except KeyError:
+    # a mask per kind the target uses, whatever the signature's size
+    target_rows = list(map(target.neighbors, range(nt)))
+    used = dict.fromkeys((rel for row in target_rows for rel in row.values()), 0)
+    rows = []
+    for row in target_rows:
+        masks = used.copy()
+        for y, rel in row.items():
+            masks[rel] |= 1 << y
+        rows.append(masks)
+    adj = list(map(source.neighbors, range(ns)))
+    if not used.keys() >= {rel for row in adj for rel in row.values()}:
         return None  # a source relation whose kind the target has nowhere
     full = (1 << nt) - 1
     domains = [full] * ns
     image = [-1] * ns
-    # (size, v) of each unassigned vertex v whose domain is not full.
-    # Their domains hold fewer than nt values and every other unassigned
-    # domain holds all nt, so the smallest (size, v) over all unassigned
-    # vertices lies here whenever this is non-empty; when it is empty,
-    # the smallest is the lowest unassigned index.
-    narrowed: dict[int, tuple[int, int]] = {}
+    # The key size * ns + v of each unassigned vertex v whose domain is
+    # not full; keys order as the pairs (size, v) do.  Those domains hold
+    # fewer than nt values and every other unassigned domain holds all
+    # nt, so the smallest (size, v) over all unassigned vertices lies
+    # here whenever this is non-empty; when it is empty, the smallest is
+    # the lowest unassigned index.
+    narrowed: dict[int, int] = {}
+    trail: list[int] = []
+    vertex = [0] * ns
+    untried = [0] * ns
+    held = [0] * ns  # the key the depth's vertex was picked by, -1 if none
+    mark = [0] * ns  # the trail's length when the depth's vertex was picked
+    first = [0] * (ns + 1)  # every vertex below first[d] stays assigned at depth d
 
-    def undo(trail: list[tuple[int, int]]) -> None:
-        for w, old in trail:
-            domains[w] = old
-            if old == full:
-                del narrowed[w]
-            else:
-                narrowed[w] = (old.bit_count(), w)
-
-    def assign(u: int, x: int) -> list[tuple[int, int]] | None:
-        trail: list[tuple[int, int]] = []
-        row = rows[x]
-        for w, i in adj[u]:
-            if image[w] >= 0:
-                continue
-            old = domains[w]
-            keep = old & row[i]
-            if keep == old:
-                continue
-            trail.append((w, old))
-            domains[w] = keep
-            narrowed[w] = (keep.bit_count(), w)
-            if not keep:
-                undo(trail)
-                return None
-        return trail
-
-    found = refuted = False
-
-    def search(depth: int, first: int) -> Generator:
-        # every vertex below ``first`` stays assigned in this subtree
-        nonlocal found, refuted
-        if depth == ns:
-            found = True
-            return
-        # With nothing narrowed, no unassigned vertex has an assigned
-        # neighbour (an image never allows itself), so the unassigned
-        # vertices form whole components that no earlier choice
-        # constrains: if this subtree fails, every other one fails too.
-        fresh = not narrowed
+    depth = 0
+    while depth < ns:
         if narrowed:
-            u = min(narrowed.values())[1]
-            below = first
+            key = min(narrowed.values())
+            u = key % ns
+            del narrowed[u]
+            first[depth + 1] = first[depth]
         else:
-            u = image.index(-1, first)
-            below = u + 1
-        held = narrowed.pop(u, None)
+            # With nothing narrowed, no unassigned vertex has an assigned
+            # neighbour (an image never allows itself), so the unassigned
+            # vertices form whole components that no earlier choice
+            # constrains: if this subtree fails, every other one fails too.
+            key = -1
+            u = image.index(-1, first[depth])
+            first[depth + 1] = u + 1
+        vertex[depth] = u
+        held[depth] = key
+        mark[depth] = len(trail)
         values = domains[u]
-        while values:
-            low = values & -values
-            values ^= low
-            image[u] = low.bit_length() - 1
-            trail = assign(u, image[u])
-            if trail is not None:
-                yield search(depth + 1, below)
-                if found or refuted:
-                    return
-                undo(trail)
-        image[u] = -1
-        if held is not None:
-            narrowed[u] = held
-        refuted = fresh
-
-    _run_nested(search(0, 0))
-    if not found:
-        return None
+        while True:
+            if values:
+                low = values & -values
+                values ^= low
+                x = low.bit_length() - 1
+                image[u] = x
+                row = rows[x]
+                for w, rel in adj[u].items():
+                    if image[w] < 0:
+                        old = domains[w]
+                        keep = old & row[rel]
+                        if keep != old:
+                            trail += (w, old)
+                            domains[w] = keep
+                            narrowed[w] = keep.bit_count() * ns + w
+                            if not keep:
+                                break
+                else:
+                    untried[depth] = values
+                    depth += 1
+                    break
+            else:
+                image[u] = -1
+                key = held[depth]
+                if key < 0:
+                    return None  # a fresh component has no image
+                narrowed[u] = key
+                depth -= 1
+                u = vertex[depth]
+                values = untried[depth]
+            start = mark[depth]
+            for i in range(start, len(trail), 2):
+                w = trail[i]
+                old = domains[w] = trail[i + 1]
+                if old == full:
+                    del narrowed[w]
+                else:
+                    narrowed[w] = old.bit_count() * ns + w
+            del trail[start:]
     hom = Homomorphism(nt, tuple(image))
     audit = check_homomorphism(source, target, hom.mapping)
     assert audit is None, f"solver produced an invalid homomorphism: {audit}"
@@ -305,22 +314,41 @@ def special_clique(graph: MixedGraph) -> set[int]:
 
 
 def _partner_sets(graph: MixedGraph) -> list[set[int]]:
-    """For each vertex, the vertices joined to it by a special 2-path."""
+    """For each vertex, the vertices joined to it by a special 2-path.
+
+    The neighbours of a middle vertex are grouped by the kind seen from
+    it; each one's partners through it are the neighbours of the other
+    kinds.
+    """
     partners: list[set[int]] = [set() for _ in range(graph.order)]
-    for u, w in special_pairs(graph):
-        partners[u].add(w)
-        partners[w].add(u)
+    for row in map(graph.neighbors, range(graph.order)):
+        by_kind: dict[RelationKind, list[int]] = {}
+        for w, rel in row.items():
+            by_kind.setdefault(rel, []).append(w)
+        if len(by_kind) < 2:
+            continue
+        for rel, group in by_kind.items():
+            others = [w for w, other in row.items() if other is not rel]
+            for u in group:
+                partners[u].update(others)
     return partners
 
 
 def _greedy_clique(adj: list[set[int]]) -> set[int]:
-    """The largest of the greedy cliques of ``special_clique``, one per seed."""
+    """The largest of the greedy cliques of ``special_clique``, one per seed.
+
+    A seed's clique holds at most its partners and itself, and only a
+    strictly larger clique replaces the best, so a seed with fewer
+    partners than the best clique has vertices is skipped.
+    """
     by_degree = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
     rank = [0] * len(adj)
     for i, v in enumerate(by_degree):
         rank[v] = i
     best: list[int] = []
     for seed in range(len(adj)):
+        if len(adj[seed]) < len(best):
+            continue
         chosen = [seed]
         allowed = set(adj[seed])
         for v in sorted(adj[seed], key=rank.__getitem__):

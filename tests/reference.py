@@ -173,14 +173,19 @@ def ordered_check_property_q(target: CompleteMixedTarget, spec: PropertySpec) ->
     return extend((), (), (1 << n) - 1)
 
 
+def special_pair_partners(graph: MixedGraph) -> list[set[int]]:
+    """For each vertex, the other ends of its pairs in ``special_pairs``."""
+    partners: list[set[int]] = [set() for _ in range(graph.order)]
+    for u, w in special_pairs(graph):
+        partners[u].add(w)
+        partners[w].add(u)
+    return partners
+
+
 def quadratic_special_clique(graph: MixedGraph) -> set[int]:
-    """Greedy special-pair clique whose pass from each seed walks the
-    whole degree order."""
-    pairs = special_pairs(graph)
-    adj: dict[int, set[int]] = {v: set() for v in range(graph.order)}
-    for u, w in pairs:
-        adj[u].add(w)
-        adj[w].add(u)
+    """Greedy special-pair clique with a pass from every seed, each
+    walking the whole degree order."""
+    adj = special_pair_partners(graph)
     by_degree = sorted(range(graph.order), key=lambda v: (-len(adj[v]), v))
     best: list[int] = []
     for seed in range(graph.order):

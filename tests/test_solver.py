@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,7 @@ from mixedgraphs import (
     sample_complete,
     special_clique,
 )
-from mixedgraphs.solver import _partition_search
+from mixedgraphs.solver import _partner_sets, _partition_search
 from mixedgraphs.verification import _oracle_chromatic
 from strategies import (
     SIGNATURES,
@@ -44,6 +46,7 @@ from reference import (
     quadratic_special_clique,
     relation_scan_check_homomorphism,
     set_domain_homomorphism,
+    special_pair_partners,
 )
 
 
@@ -91,10 +94,33 @@ def test_special_clique_never_exceeds_chi(g):
     assert len(clique) <= chromatic_number(g).k
 
 
+def _assert_clique_set_up_matches_the_references(g: MixedGraph) -> None:
+    assert _partner_sets(g) == special_pair_partners(g)
+    assert special_clique(g) == quadratic_special_clique(g)
+
+
 @given(st.one_of(mixed_graphs(max_order=12), sparse_graphs(max_order=60)))
 @settings(max_examples=150, deadline=None)
 def test_special_clique_matches_the_whole_order_scan(g):
-    assert special_clique(g) == quadratic_special_clique(g)
+    _assert_clique_set_up_matches_the_references(g)
+
+
+def test_special_clique_matches_the_whole_order_scan_on_seeded_graphs():
+    # Random graphs of every density, sparse graphs up to order 600 and
+    # the digit layers of both, as the acyclic pipeline searches them:
+    # a seed is skipped only when it cannot beat the best clique.
+    rng = random.Random(2407)
+    for trial in range(120):
+        sig = SIGNATURES[trial % len(SIGNATURES)]
+        if trial % 3:
+            n = rng.randint(1, 60)
+            g = seeded_graph(sig, n, rng.randint(0, n * (n - 1) // 2), rng.randrange(2**32))
+        else:
+            g = sparse_graph(sig, rng.randint(100, 600), rng, max_degree=rng.randint(3, 6))
+        _assert_clique_set_up_matches_the_references(g)
+        if trial % 10 == 0 and g.e_count:
+            for layer in digit_graphs(g, greedy_forests(g)):
+                _assert_clique_set_up_matches_the_references(layer)
 
 
 def test_budget_exhaustion_reports_honest_bounds():
@@ -494,6 +520,59 @@ def test_find_homomorphism_matches_reference_on_both_outcomes():
         outcomes.append(_assert_hom_matches_reference(source, target))
     assert outcomes.count("found") >= 300
     assert outcomes.count("none") >= 300
+
+
+def test_find_homomorphism_matches_the_reference_at_bench_scale():
+    # The sizes of the bench's hom ops: planted max-degree-3 sources of
+    # order 200-600 into QR7 and QR11.  Then unplanted sparse sources
+    # into QR3 and QR7, forests (back=1) and degeneracy-2 graphs: into
+    # QR3 both outcomes occur, into QR7 nearly all of them map.  The
+    # reference recurses once per source vertex, which keeps the orders
+    # at 600 and below.
+    rng = random.Random(2406)
+    sig = ColorSignature(1, 0)
+    for q in (7, 11):
+        qr = paley_tournament(q).graph
+        for order in (200, 400, 600):
+            source = sparse_graph(sig, order, rng, plant=qr)
+            assert _assert_hom_matches_reference(source, qr) == "found"
+    outcomes = collections.Counter()
+    for trial in range(60):
+        q = (3, 7)[trial % 2]
+        source = sparse_graph(sig, rng.randint(60, 120), rng, back=1 + trial // 2 % 2)
+        outcomes[q, _assert_hom_matches_reference(source, paley_tournament(q).graph)] += 1
+    assert outcomes[3, "found"] >= 10 and outcomes[3, "none"] >= 10
+    assert outcomes[7, "found"] >= 10
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_searches_on_a_long_path_need_no_recursion():
+    # A 1550-vertex oriented path, the size of the bench's largest ops,
+    # with the recursion limit 50 frames above the caller's depth.
+    rng = random.Random(1550)
+    path = MixedGraph(ColorSignature(1, 0), 1550)
+    for v in range(1, path.order):
+        if rng.random() < 0.5:
+            path.add_arc(v - 1, v, 1)
+        else:
+            path.add_arc(v, v - 1, 1)
+    qr7 = paley_tournament(7).graph
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        hom = find_homomorphism(path, qr7)
+        result = chromatic_number(path)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert hom is not None and check_homomorphism(path, qr7, hom.mapping) is None
+    assert result.exact and check_partition(path, result.witness) is None
 
 
 # --- the DSATUR search against the fixed-order reference ---------------------------
