@@ -44,7 +44,7 @@ report = degree_bounds(5, 2)
 print(f"\nmax degree 5, p = 2: {report.lower} <= chi <= {report.upper}")
 report4 = degree_bounds(4, 2)
 print("max degree 4: lower", report4.lower, "- upper applies?",
-      report4.upper_applies)
+      report4.upper is not None)
 
 # A counting argument: at most p^C(k,2) * k^n of the p^e colorings of an
 # underlying graph have chi <= k.  When that is fewer than p^e, some

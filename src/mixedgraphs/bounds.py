@@ -114,55 +114,38 @@ def acyclic_upper_from_arb(k: int, r: int, p: int) -> int:
     return k ** (ceil_log(p, r) + 1)
 
 
-def _ceil_log_log(k: int, p: int, outer: int) -> int:
-    """Integer ceiling of log_outer(log_p(k)), exact, possibly negative.
-
-    For k > p it is the least s with outer**s >= log_p(k), an integer
-    power, so the least with outer**s >= ceil_log(p, k).  For k <= p it
-    is -j for the largest j with outer**j <= log_k(p), that is with
-    outer**j < ceil_log(k, p + 1).
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if k > p:
-        return ceil_log(outer, ceil_log(p, k))
-    return 1 - ceil_log(outer, ceil_log(k, p + 1))
-
-
-def acyclic_upper_from_chi(k: int, p: int, outer_log2: bool = False) -> int:
+def acyclic_upper_from_chi(k: int, p: int) -> int:
     """Acyclic upper bound k*k + k ** (2 + ceil(log_p log_p k)) from chi = k.
 
-    Valid for k >= 4.  The outer logarithm is to base p, or to base 2
-    with ``outer_log2``.
+    Valid for k >= 4.  Both logarithms are to base p, as in the paper.
+    The ceiling is ceil_log(p, ceil_log(p, k)): for k > p the least s
+    with p**s >= log_p(k) is the least with p**s >= ceil_log(p, k),
+    because p**s is an integer; for 2 <= k <= p, log_p(k) lies in
+    (1/p, 1], so the ceiling is 0, as is ceil_log(p, 1).  The exponent
+    is never below 2.
     """
     if k < 4:
         raise ValueError(f"k must be >= 4, got {k}")
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
-    exponent = 2 + _ceil_log_log(k, p, 2 if outer_log2 else p)
-    if exponent < 0:
-        raise ValueError(
-            f"degenerate parameters: exponent 2 + ceil(log log) = {exponent}"
-        )
-    return k * k + k**exponent
+    return k * k + k ** (2 + ceil_log(p, ceil_log(p, k)))
 
 
 @dataclass(frozen=True)
 class DegreeBounds:
     """Bounds on the chromatic number over all graphs of maximum degree delta.
 
-    ``lower`` is the integer ceiling of p**(delta/2); ``lower_squared``
-    is p**delta so callers can compare exactly via x*x >= lower_squared.
-    ``upper`` applies only for delta >= 5 and is None otherwise.
+    ``lower`` is the integer ceiling of p**(delta/2), and ``lower_exact``
+    says whether p**delta is a perfect square, so that ``lower`` equals
+    p**(delta/2) itself.  ``upper`` applies only for delta >= 5 and is
+    None otherwise.
     """
 
     delta: int
     p: int
     lower: int
     lower_exact: bool
-    lower_squared: int
     upper: int | None
-    upper_applies: bool
 
 
 def degree_bounds(delta: int, p: int) -> DegreeBounds:
@@ -185,9 +168,8 @@ def degree_bounds(delta: int, p: int) -> DegreeBounds:
     root = isqrt(squared)
     exact = root * root == squared
     lower = root if exact else root + 1
-    applies = delta >= 5
-    upper = 2 * (delta - 1) ** p * p ** (delta - 1) + 2 if applies else None
-    return DegreeBounds(delta, p, lower, exact, squared, upper, applies)
+    upper = 2 * (delta - 1) ** p * p ** (delta - 1) + 2 if delta >= 5 else None
+    return DegreeBounds(delta, p, lower, exact, upper)
 
 
 @dataclass(frozen=True)

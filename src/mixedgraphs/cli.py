@@ -488,14 +488,13 @@ _BOUNDS = {
 def _cmd_bounds(args: argparse.Namespace) -> int:
     out = _Output(args)
     name = args.bound
-    options = {"outer_log2": args.outer_log2} if "outer_log2" in args else {}
-    value = _BOUNDS[name][2](*args.params, **options)
+    value = _BOUNDS[name][2](*args.params)
     if name == "degree":
         fields = {
             "lower": value.lower,
             "lower_exact": value.lower_exact,
             "upper": value.upper,
-            "upper_applies": value.upper_applies,
+            "upper_applies": value.upper is not None,
         }
         text = (
             f"lower {value.lower}"
@@ -723,12 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (arity, helptext, _) in _BOUNDS.items():
         b = bounds_sub.add_parser(name, help=helptext)
         b.add_argument("params", nargs=arity, type=int, metavar="N")
-        if name == "acyclic-upper-chi":
-            b.add_argument(
-                "--outer-log2",
-                action="store_true",
-                help="outer logarithm base 2 instead of base p",
-            )
         _add_format(b)
         b.set_defaults(func=_cmd_bounds)
     b = bounds_sub.add_parser(

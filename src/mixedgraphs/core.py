@@ -451,22 +451,37 @@ def is_special_2path(graph: MixedGraph, u: int, v: int, w: int) -> bool:
     return ru != rw
 
 
+def _partner_sets(graph: MixedGraph) -> list[set[int]]:
+    """For each vertex, the vertices joined to it by a special 2-path.
+
+    The neighbours of a middle vertex are grouped by the kind seen from
+    it; each one's partners through it are the neighbours of the other
+    kinds.
+    """
+    partners: list[set[int]] = [set() for _ in range(graph.order)]
+    for row in map(graph.neighbors, range(graph.order)):
+        by_kind: dict[RelationKind, list[int]] = {}
+        for w, rel in row.items():
+            by_kind.setdefault(rel, []).append(w)
+        if len(by_kind) < 2:
+            continue
+        for rel, group in by_kind.items():
+            others = [w for w, other in row.items() if other is not rel]
+            for u in group:
+                partners[u].update(others)
+    return partners
+
+
 def special_pairs(graph: MixedGraph) -> set[tuple[int, int]]:
-    """All unordered pairs joined by at least one special 2-path.
+    """All pairs (u, w), u < w, joined by at least one special 2-path.
 
     Under any homomorphism the two vertices of such a pair must receive
-    distinct images.
+    distinct images.  The pairs are read off ``_partner_sets``, the one
+    routine that finds them.
     """
-    pairs: set[tuple[int, int]] = set()
-    for v in range(graph.order):
-        items = sorted(graph.neighbors(v).items())
-        for i in range(len(items)):
-            u, ru = items[i]
-            for j in range(i + 1, len(items)):
-                w, rw = items[j]
-                if ru != rw:
-                    pairs.add((u, w) if u < w else (w, u))
-    return pairs
+    return {
+        (u, w) for u, partners in enumerate(_partner_sets(graph)) for w in partners if u < w
+    }
 
 
 def degeneracy_ordering(graph: MixedGraph) -> tuple[int, list[int]]:

@@ -19,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
 
-from .core import MixedGraph, RelationKind, _require_same_signature
+from .core import MixedGraph, RelationKind, _partner_sets, _require_same_signature
 
 
 @dataclass(frozen=True)
 class Homomorphism:
     """A total vertex map between graphs of the same signature."""
 
-    target_order: int
     mapping: tuple[int, ...]
 
     def __getitem__(self, v: int) -> int:
@@ -124,7 +123,7 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
     _require_same_signature(source, target)
     ns, nt = source.order, target.order
     if ns == 0:
-        return Homomorphism(nt, ())
+        return Homomorphism(())
     if nt == 0:
         return None
 
@@ -215,7 +214,7 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
                 else:
                     narrowed[w] = old.bit_count() * ns + w
             del trail[start:]
-    hom = Homomorphism(nt, tuple(image))
+    hom = Homomorphism(tuple(image))
     audit = check_homomorphism(source, target, hom.mapping)
     assert audit is None, f"solver produced an invalid homomorphism: {audit}"
     return hom
@@ -293,7 +292,7 @@ def quotient(graph: MixedGraph, partition: Partition) -> tuple[MixedGraph, Homom
         i, j = block_of[u], block_of[v]
         if image.relation_from(i, j) is None:
             image.add_relation(i, j, rel)
-    hom = Homomorphism(partition.k, tuple(block_of[v] for v in range(graph.order)))
+    hom = Homomorphism(tuple(block_of[v] for v in range(graph.order)))
     audit = check_homomorphism(graph, image, hom.mapping)
     assert audit is None, f"quotient construction broke: {audit}"
     return image, hom
@@ -308,30 +307,11 @@ def special_clique(graph: MixedGraph) -> set[int]:
     and the largest clique found wins; a single degree-ordered pass can
     seed itself on vertices outside the big cliques.  A pass can only
     pick special-pair neighbors of its seed, so it walks those alone,
-    in degree order: O(sum of deg log deg) over all seeds.
+    in degree order: O(sum of deg log deg) over all seeds.  The
+    special-pair graph is ``core._partner_sets``, the same sets that
+    ``special_pairs`` reads its pairs from.
     """
     return _greedy_clique(_partner_sets(graph))
-
-
-def _partner_sets(graph: MixedGraph) -> list[set[int]]:
-    """For each vertex, the vertices joined to it by a special 2-path.
-
-    The neighbours of a middle vertex are grouped by the kind seen from
-    it; each one's partners through it are the neighbours of the other
-    kinds.
-    """
-    partners: list[set[int]] = [set() for _ in range(graph.order)]
-    for row in map(graph.neighbors, range(graph.order)):
-        by_kind: dict[RelationKind, list[int]] = {}
-        for w, rel in row.items():
-            by_kind.setdefault(rel, []).append(w)
-        if len(by_kind) < 2:
-            continue
-        for rel, group in by_kind.items():
-            others = [w for w, other in row.items() if other is not rel]
-            for u in group:
-                partners[u].update(others)
-    return partners
 
 
 def _greedy_clique(adj: list[set[int]]) -> set[int]:

@@ -315,7 +315,6 @@ class GreedyStep(NamedTuple):
 @dataclass(frozen=True)
 class GreedyEmbedding:
     homomorphism: Homomorphism
-    order: tuple[int, ...]
     degeneracy: int
     steps: tuple[GreedyStep, ...]
 
@@ -395,10 +394,10 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
                     f"invariant broken after placing {v}: unplaced vertex {z} "
                     f"has placed neighbors sharing an image"
                 )
-    hom = Homomorphism(tg.order, tuple(image))
+    hom = Homomorphism(tuple(image))
     audit = check_homomorphism(graph, tg, hom.mapping)
     assert audit is None, f"greedy pass produced an invalid homomorphism: {audit}"
-    return GreedyEmbedding(hom, tuple(order), degeneracy, tuple(steps))
+    return GreedyEmbedding(hom, degeneracy, tuple(steps))
 
 
 def _bits(mask: int) -> frozenset[int]:
@@ -407,8 +406,6 @@ def _bits(mask: int) -> frozenset[int]:
 
 
 def _is_connected(graph: MixedGraph) -> bool:
-    if graph.order == 0:
-        return True
     seen = {0}
     stack = [0]
     while stack:
@@ -481,7 +478,7 @@ def extend_regular(
     mapping = list(f)
     mapping[u] = u_new
     mapping[v] = v_new
-    hom = Homomorphism(n + 2, tuple(mapping))
+    hom = Homomorphism(tuple(mapping))
     audit = check_homomorphism(graph, extended, hom.mapping)
     assert audit is None, f"extension produced an invalid homomorphism: {audit}"
     return CompleteMixedTarget(extended, None), hom

@@ -39,8 +39,8 @@ from mixedgraphs import (
     check_homomorphism,
     check_partition,
     common_neighborhood,
+    is_special_2path,
     special_clique,
-    special_pairs,
 )
 from mixedgraphs.core import ARC_OUT, EDGE, ColorSignature
 from mixedgraphs.decomposition import _forest_count_bound, _induced_cycle
@@ -113,10 +113,10 @@ def quadratic_greedy(graph: MixedGraph, target: CompleteMixedTarget) -> GreedyEm
                     f"invariant broken after placing {v}: unplaced vertex {z} "
                     f"has placed neighbors sharing an image"
                 )
-    hom = Homomorphism(tg.order, tuple(image[v] for v in range(graph.order)))
+    hom = Homomorphism(tuple(image[v] for v in range(graph.order)))
     audit = check_homomorphism(graph, tg, hom.mapping)
     assert audit is None, f"greedy pass produced an invalid homomorphism: {audit}"
-    return GreedyEmbedding(hom, tuple(order), degeneracy, tuple(steps))
+    return GreedyEmbedding(hom, degeneracy, tuple(steps))
 
 
 def ordered_check_property_q(target: CompleteMixedTarget, spec: PropertySpec) -> QViolation | None:
@@ -174,11 +174,14 @@ def ordered_check_property_q(target: CompleteMixedTarget, spec: PropertySpec) ->
 
 
 def special_pair_partners(graph: MixedGraph) -> list[set[int]]:
-    """For each vertex, the other ends of its pairs in ``special_pairs``."""
+    """For each vertex u, the w joined to it by a special 2-path u-v-w,
+    found by asking ``is_special_2path`` about every 2-path."""
     partners: list[set[int]] = [set() for _ in range(graph.order)]
-    for u, w in special_pairs(graph):
-        partners[u].add(w)
-        partners[w].add(u)
+    for v in range(graph.order):
+        for u in graph.neighbors(v):
+            for w in graph.neighbors(v):
+                if u != w and is_special_2path(graph, u, v, w):
+                    partners[u].add(w)
     return partners
 
 
@@ -210,7 +213,7 @@ def set_domain_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorph
         )
     ns, nt = source.order, target.order
     if ns == 0:
-        return Homomorphism(nt, ())
+        return Homomorphism(())
     if nt == 0:
         return None
 
@@ -257,7 +260,7 @@ def set_domain_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorph
 
     if not search(0):
         return None
-    hom = Homomorphism(nt, tuple(image))
+    hom = Homomorphism(tuple(image))
     audit = check_homomorphism(source, target, hom.mapping)
     assert audit is None, f"solver produced an invalid homomorphism: {audit}"
     return hom
@@ -891,9 +894,9 @@ def relation_scan_dumps(
 
 
 def power_search_ceil_log_log(k: int, p: int, outer: int) -> int:
-    """``bounds._ceil_log_log`` as it searched s one step at a time,
-    using outer**s >= log_p(k)  <=>  p**(outer**s) >= k, which for
-    negative s reads p >= k**(outer**(-s))."""
+    """The integer ceiling of log_outer(log_p(k)), searching s one step
+    at a time, using outer**s >= log_p(k)  <=>  p**(outer**s) >= k, which
+    for negative s reads p >= k**(outer**(-s))."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
 

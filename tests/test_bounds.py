@@ -22,7 +22,7 @@ from mixedgraphs import (
     nr_upper,
     planar_upper,
 )
-from mixedgraphs.bounds import _ceil_log_log, _ceil_log_search
+from mixedgraphs.bounds import _ceil_log_search
 from mixedgraphs.cli import run
 from reference import power_search_ceil_log_log
 from strategies import directed_cycle
@@ -137,7 +137,6 @@ def test_acyclic_upper_from_chi_spot_values():
         (lambda: acyclic_upper_from_arb(3, 0, 2), "k and r must be >= 1"),
         (lambda: acyclic_upper_from_arb(0, 2, 2), "k and r must be >= 1"),
         (lambda: acyclic_upper_from_arb(3, 2, 1), "p must be >= 2, got 1"),
-        (lambda: _ceil_log_log(1, 2, 2), "k must be >= 2, got 1"),
         (lambda: acyclic_upper_from_chi(4, 1), "p must be >= 2, got 1"),
         (lambda: degree_bounds(5, 1), "p must be >= 2, got 1"),
         (lambda: counting_inequality_check(directed_cycle(3), 0), "k must be >= 1, got 0"),
@@ -148,28 +147,25 @@ def test_argument_guards(call, message):
         call()
 
 
-def test_degenerate_acyclic_upper_chi_is_a_usage_error(capsys):
-    # k = 4 <= p: ceil(log_2 log_p 4) = 1 - ceil_log(2, ceil_log(4, p + 1)) = 1 - 4
-    assert run(["bounds", "acyclic-upper-chi", "4", "1000000000", "--outer-log2"]) == 2
-    assert capsys.readouterr().err == (
-        "error: degenerate parameters: exponent 2 + ceil(log log) = -1\n"
-    )
-
-
 def test_acyclic_upper_outer_log_variants():
     # base p = 3: log_3 log_3 27 = 1, so exponent 2 + 1
     assert acyclic_upper_from_chi(27, 3) == 27**2 + 27**3
-    # statement variant with outer log base 2: ceil(log2 3) = 2 for log_3 27 = 3
-    assert acyclic_upper_from_chi(27, 3, outer_log2=True) == 27**2 + 27**4
+    # 4 <= p: log_p 4 lies in (1/p, 1], so the ceiling is 0 and the exponent 2
+    assert acyclic_upper_from_chi(4, 1_000_000_000) == 4**2 + 4**2
+
+
+def test_acyclic_upper_chi_has_no_outer_log2_flag(capsys):
+    assert run(["bounds", "acyclic-upper-chi", "100", "3", "--outer-log2"]) == 2
+    assert "unrecognized arguments: --outer-log2" in capsys.readouterr().err
 
 
 def test_ceil_log_log_matches_the_power_search():
+    # the exponent's ceiling in acyclic_upper_from_chi, both logarithms base p
     mismatches = [
-        (k, p, outer)
+        (k, p)
         for k in range(2, 300)
         for p in range(2, 300)
-        for outer in (2, 3, p)
-        if _ceil_log_log(k, p, outer) != power_search_ceil_log_log(k, p, outer)
+        if ceil_log(p, ceil_log(p, k)) != power_search_ceil_log_log(k, p, p)
     ]
     assert mismatches == []
 
@@ -178,15 +174,14 @@ def test_degree_bounds_shape():
     report = degree_bounds(5, 2)
     assert report.lower == 6  # ceil(sqrt(2^5))
     assert not report.lower_exact
-    assert report.lower_squared == 32
+    assert report.lower * report.lower >= 2**5
     assert report.upper == 514
-    assert report.upper_applies
+    assert report.upper is not None
 
     small = degree_bounds(4, 2)
     assert small.lower == 4  # sqrt(16), exact
     assert small.lower_exact
     assert small.upper is None
-    assert not small.upper_applies
 
     with pytest.raises(ValueError):
         degree_bounds(0, 2)

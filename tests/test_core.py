@@ -424,6 +424,18 @@ def test_property_spec_validation():
         PropertySpec(-1, ())
 
 
+def test_property_spec_rejects_a_negative_minimum():
+    with pytest.raises(ValueError, match="^minimums must be non-negative$"):
+        PropertySpec(1, (0, -1))
+
+
+def test_mixed_graph_repr_names_signature_order_and_relations():
+    g = MixedGraph(ColorSignature(1, 1), 3)
+    g.add_arc(0, 1)
+    g.add_edge(1, 2)
+    assert repr(g) == "MixedGraph(signature=(1,1), order=3, relations=2)"
+
+
 # --- special 2-paths ----------------------------------------------------------
 
 

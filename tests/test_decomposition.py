@@ -167,6 +167,13 @@ def test_forest_checker_catches_violations():
     assert check_forest_decomposition(g, not_an_edge) is not None
 
 
+def test_forest_checker_names_an_index_past_the_count():
+    fd = ForestDecomposition(1, {(0, 1): 0, (1, 2): 1})
+    assert check_forest_decomposition(directed_path(3), fd) == (
+        "forest index 1 on edge (1, 2) out of range 0..0"
+    )
+
+
 def test_forest_checker_takes_one_forest_per_edge():
     # the audit's cost follows the edges, not forests times vertices
     g = directed_path(2000)

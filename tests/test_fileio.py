@@ -94,6 +94,7 @@ def test_arc_lines_survive_direction():
         (HEADER + "forest 1 1 0\n", 4, "pair (1, 1) is not an underlying edge"),
         (HEADER + "a 0 1 1\nforest 0 1 0\nforest 1 0 1\n", 6, "twice"),
         (HEADER + "a 0 1 1\nforest 0 1 -1\n", 5, "non-negative"),
+        (HEADER + "a 0 1 1\nforest 0 1\n", 5, "expected 'forest u v i'"),
         (HEADER + "banana 1\n", 4, "unknown directive"),
         ("", 1, "incomplete"),
         ("mixedgraph 1\nsignature 1 0\n", 3, "incomplete"),

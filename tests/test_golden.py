@@ -119,8 +119,6 @@ COMMANDS = {
     "bounds-acyclic-upper-arb-records": "bounds acyclic-upper-arb 3 2 2 --format records",
     "bounds-acyclic-upper-chi": "bounds acyclic-upper-chi 100 3",
     "bounds-acyclic-upper-chi-records": "bounds acyclic-upper-chi 100 3 --format records",
-    "bounds-acyclic-upper-chi-log2": "bounds acyclic-upper-chi 100 3 --outer-log2",
-    "bounds-acyclic-upper-chi-log2-records": "bounds acyclic-upper-chi 100 3 --outer-log2 --format records",
     "bounds-degree": "bounds degree 5 2",
     "bounds-degree-records": "bounds degree 5 2 --format records",
     "bounds-degree-small": "bounds degree 2 3",

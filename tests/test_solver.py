@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mixedgraphs import (
     ColorSignature,
     CompleteMixedTarget,
+    Homomorphism,
     MixedGraph,
     Partition,
     acyclic_chromatic_number,
@@ -28,7 +29,8 @@ from mixedgraphs import (
     sample_complete,
     special_clique,
 )
-from mixedgraphs.solver import _partner_sets, _partition_search
+from mixedgraphs.core import _partner_sets
+from mixedgraphs.solver import _partition_search
 from mixedgraphs.verification import _oracle_chromatic
 from strategies import (
     SIGNATURES,
@@ -202,6 +204,11 @@ def test_find_homomorphism_known_cases():
     hom = find_homomorphism(directed_path(4), directed_cycle(5))
     assert hom is not None
     assert check_homomorphism(directed_path(4), directed_cycle(5), hom.mapping) is None
+
+
+def test_find_homomorphism_maps_the_empty_graph_by_the_empty_map():
+    empty = MixedGraph(ColorSignature(1, 0), 0)
+    assert find_homomorphism(empty, directed_cycle(3)) == Homomorphism(())
 
 
 @pytest.mark.parametrize(
