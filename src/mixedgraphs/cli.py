@@ -581,6 +581,18 @@ def _add_check(parser: argparse.ArgumentParser, what: str) -> None:
     )
 
 
+def _add_budget(parser: argparse.ArgumentParser, default: int, scope: str) -> None:
+    parser.add_argument(
+        "--budget",
+        type=_positive,
+        default=default,
+        help=f"search nodes {scope} (default %(default)s); each block tried costs one "
+        "node, forbidden ones too, so below about n*k/2 (n vertices, k colors) the "
+        "search can end before its first coloring, and the witness is then the "
+        "singletons (upper = n)",
+    )
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first call and shared afterwards.
@@ -600,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="exact chromatic number with witness partition")
     _add_graph(p)
-    p.add_argument("--budget", type=_positive, default=10_000_000)
+    _add_budget(p, 10_000_000, "before exit 3")
     p.add_argument(
         "--lower-only",
         action="store_true",
@@ -629,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("acyclic", help="exact acyclic chromatic number")
     _add_graph(p)
-    p.add_argument("--budget", type=_positive, default=5_000_000)
+    _add_budget(p, 5_000_000, "before exit 3")
     _add_check(p, "color")
     p.add_argument("-o", "--output", help="write graph plus witness coloring here")
     _add_format(p)
@@ -668,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--forests", metavar="FD", help="file with forest lines (default: the fewest forests)"
     )
-    p.add_argument("--budget", type=_positive, default=10_000_000)
+    _add_budget(p, 10_000_000, "for each digit layer's chromatic number")
     p.add_argument("-o", "--output", help="write graph plus coloring here")
     _add_format(p)
     p.set_defaults(func=_cmd_pipeline)

@@ -6,18 +6,19 @@ whose blocks are independent and pairwise joined by at most one relation
 kind, so the search branches over such partitions directly.
 
 Everything here is deterministic and exact within a node budget.  No
-search recurses: ``find_homomorphism`` is one loop over per-depth
-arrays and a flat trail, and the partition search runs its generators
-on an explicit stack.  So memory and the budget, not the recursion
-limit, bound the graphs they take: the tests run both on a 1550-vertex
-oriented path with the recursion limit 50 frames above the caller, and
-``chromatic_number`` on 20 000 vertices.
+search recurses: ``find_homomorphism`` and the partition search are
+each one loop over per-depth arrays and a flat trail, and the partition
+search keeps its waiting vertices in one bitmask per count of forbidden
+blocks, so its pick does not scan them.  So memory and the budget, not
+the recursion limit, bound the graphs they take: the tests run both on
+a 1550-vertex oriented path with the recursion limit 50 frames above
+the caller, and ``chromatic_number`` on 20 000 vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from typing import Callable, Sequence
 
 from .core import MixedGraph, RelationKind, _partner_sets, _require_same_signature
 
@@ -73,25 +74,6 @@ def check_homomorphism(
                     f"carries {have}"
                 )
     return None
-
-
-def _run_nested(root: Generator) -> None:
-    """Run a recursive search written as generators, on an explicit stack.
-
-    A search function yields the generator of each recursive call it
-    would make, and resumes when that call has finished; results travel
-    through the enclosing function's variables.  This loop runs the
-    innermost generator first, exactly as the recursion would, so depth
-    is bounded by memory rather than by the interpreter's recursion
-    limit.
-    """
-    stack = [root]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        else:
-            stack.append(child)
 
 
 def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | None:
@@ -360,10 +342,11 @@ def _partition_search(
     All three start empty (-1, [], 0) and are left so.  The ``seeds`` are placed
     first, in turn, each straight into a new block.  After them the next
     vertex is the unplaced one with the most forbidden blocks, then the
-    earliest in ``order`` (Brélaz's DSATUR pick): each unplaced vertex u
-    with f > 0 forbidden blocks is keyed (n - f) * n + i, where
-    n = len(order) and u = order[i], and the least key wins; with none
-    forbidden anywhere, the first unplaced vertex of ``order``.
+    earliest in ``order`` (Brélaz's DSATUR pick).  The unplaced vertices
+    not yet picked wait in buckets by that count (Dial's bucket queue):
+    bit i of the int ``level[f]`` is set when ``order[i]`` waits with f
+    forbidden blocks, so the pick is the lowest set bit of the highest
+    non-empty level, found without a scan over the waiting vertices.
 
     A vertex v is tried in the existing blocks first and then in a new
     one; each block considered costs one node, a forbidden one too.  A
@@ -371,88 +354,107 @@ def _partition_search(
     ``block_of`` and ``blocks`` and the caller's ``place(v, b)`` applies
     its own rule.  The masks are the whole rule, so a placement never
     refuses: it returns what ``unplace(v, ...)`` needs to undo it and a
-    list of bans (u, bits) for unplaced vertices u.  The search sets
-    those bits in ``forbid`` (forward checking after Haralick and
-    Elliott), keeps the bits it newly set on a trail, and after the
-    subtree calls ``unplace`` while v is still in its block, then
-    clears the trail's bits and takes v out.  Only leaves with fewer
-    blocks than the best leaf so far are reached, so the first optimal
-    leaf is kept; one with ``lower`` blocks ends the search.  Until the
-    first leaf, the best blocks are the singletons of ``sorted(order)``,
-    which every rule accepts, so a search cut before any leaf still
-    returns a partition.  Returns the best blocks, the node count and
-    whether the budget ran out.
+    list of bans (u, bits) for unplaced vertices u, whose bits name
+    existing blocks.  The search sets those bits in ``forbid`` (forward
+    checking after Haralick and Elliott), keeps the bits it newly set on
+    a trail, and after the subtree calls ``unplace`` while v is still in
+    its block, then clears the trail's bits and takes v out.  Only leaves
+    with fewer blocks than the best leaf so far are reached, so the
+    first optimal leaf is kept; one with ``lower`` blocks ends the
+    search.  Until the first leaf, the best blocks are the singletons of
+    ``sorted(order)``, which every rule accepts, so a search cut before
+    any leaf still returns a partition.  Returns the best blocks, the
+    node count and whether the budget ran out.
+
+    The search is one loop over per-depth lists, allocated once: the
+    vertex of each depth, its block, where its bans start on the trail
+    and what ``unplace`` needs.  The trail is one flat list ``[u, bits,
+    u, bits, ...]`` cut back to a depth's start on backtrack, so the
+    depth is bounded by memory rather than by the recursion limit.
     """
     n = len(order)
     rank = [0] * len(block_of)
     for i, v in enumerate(order):
         rank[v] = i
-    narrowed: dict[int, int] = {}  # the pick key of each u with forbid[u] != 0
+    level = [0] * (n + 1)  # f never exceeds len(blocks)
+    level[0] = (1 << n) - 1
+    trail: list[int] = []
+    vertex = [0] * n
+    block = [0] * n
+    mark = [0] * n
+    undo: list[object] = [None] * n
     bound = n + 1  # blocks of the best leaf so far, or n + 1
     best_blocks = tuple((v,) for v in sorted(order))
     nodes = 0
     out_of_budget = False
-
-    def search(idx: int, cursor: int) -> Generator:
-        # every vertex of order[:cursor] stays placed in this subtree
-        nonlocal bound, best_blocks, nodes, out_of_budget
-        if idx == n:
+    depth = 0
+    while True:
+        if depth == n:
             bound = len(blocks)
-            best_blocks = tuple(tuple(b) for b in blocks)
-            return
-        first = 0
-        if idx < len(seeds):
-            v = seeds[idx]
-            first = len(blocks)
-        elif narrowed:
-            v = order[min(narrowed.values()) % n]
+            best_blocks = tuple(map(tuple, blocks))
+            bi = n + 1  # a leaf tries no block
+        elif depth < len(seeds):
+            v = vertex[depth] = seeds[depth]
+            level[forbid[v].bit_count()] ^= 1 << rank[v]
+            bi = len(blocks)
         else:
-            while block_of[order[cursor]] >= 0:
-                cursor += 1
-            v = order[cursor]
-            cursor += 1
-        held = narrowed.pop(v, None)
-        for bi in range(first, len(blocks) + 1):
-            new = bi == len(blocks)
-            if new and bi + 1 >= bound:
-                break
-            nodes += 1
-            if nodes > budget:
+            f = len(blocks)
+            while not level[f]:
+                f -= 1
+            low = level[f] & -level[f]
+            level[f] ^= low
+            v = vertex[depth] = order[low.bit_length() - 1]
+            bi = 0
+        while True:
+            if bi < len(blocks) or bi == len(blocks) and bi + 1 < bound:
+                nodes += 1
+                if nodes <= budget:
+                    if forbid[v] >> bi & 1:
+                        bi += 1
+                        continue
+                    if bi == len(blocks):
+                        blocks.append([])
+                    block_of[v] = bi
+                    blocks[bi].append(v)
+                    undo[depth], bans = place(v, bi)
+                    block[depth] = bi
+                    mark[depth] = len(trail)
+                    for u, bits in bans:
+                        bits &= ~forbid[u]
+                        if bits:
+                            r = 1 << rank[u]
+                            level[forbid[u].bit_count()] ^= r
+                            forbid[u] |= bits
+                            level[forbid[u].bit_count()] |= r
+                            trail += (u, bits)
+                    depth += 1
+                    break
                 out_of_budget = True
-                break
-            if forbid[v] >> bi & 1:
-                continue
-            if new:
-                blocks.append([])
-            block_of[v] = bi
-            blocks[bi].append(v)
-            undo, bans = place(v, bi)
-            trail = []  # (u, the bits of forbid[u] this placement set)
-            for u, bits in bans:
-                bits &= ~forbid[u]
-                if bits:
-                    forbid[u] |= bits
-                    narrowed[u] = (n - forbid[u].bit_count()) * n + rank[u]
-                    trail.append((u, bits))
-            yield search(idx + 1, cursor)
-            unplace(v, undo)
-            for u, bits in trail:
-                forbid[u] ^= bits
-                if forbid[u]:
-                    narrowed[u] = (n - forbid[u].bit_count()) * n + rank[u]
-                else:
-                    del narrowed[u]
+            # the node at depth is done: its vertex waits again, and the
+            # placement of its parent's vertex is undone
+            if depth < n:
+                level[forbid[v].bit_count()] |= 1 << rank[v]
+            if not depth:
+                return best_blocks, nodes, out_of_budget
+            depth -= 1
+            v = vertex[depth]
+            bi = block[depth]
+            unplace(v, undo[depth])
+            start = mark[depth]
+            for i in range(start, len(trail), 2):
+                u = trail[i]
+                r = 1 << rank[u]
+                level[forbid[u].bit_count()] ^= r
+                forbid[u] ^= trail[i + 1]
+                level[forbid[u].bit_count()] |= r
+            del trail[start:]
             block_of[v] = -1
             blocks[bi].pop()
-            if new:
+            if not blocks[bi]:
                 blocks.pop()
+            bi += 1
             if out_of_budget or bound == lower or len(blocks) >= bound:
-                break
-        if held is not None:
-            narrowed[v] = held
-
-    _run_nested(search(0, 0))
-    return best_blocks, nodes, out_of_budget
+                bi = n + 1
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,9 @@ return the library's messages exactly.  The pair-by-pair target sampler
 and the relation-by-relation writer must produce the library's graphs
 and text exactly.  The power search for the ceiling of a double
 logarithm must return the library's closed form's values exactly.
+The generator partition search, driven by ``_run_nested`` and picking
+by a dict minimum, must return the library engine's blocks, node count
+and budget flag exactly, under either rule and at every budget.
 """
 
 from random import Random
@@ -51,7 +54,6 @@ from mixedgraphs.fileio import (
     GraphDocument,
     _int,
 )
-from mixedgraphs.solver import _run_nested
 
 
 def min_scan_degeneracy(graph: MixedGraph) -> tuple[int, list[int]]:
@@ -264,6 +266,140 @@ def set_domain_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorph
     audit = check_homomorphism(source, target, hom.mapping)
     assert audit is None, f"solver produced an invalid homomorphism: {audit}"
     return hom
+
+
+def _run_nested(root: Generator) -> None:
+    """Run a recursive search written as generators, on an explicit stack.
+
+    A search function yields the generator of each recursive call it
+    would make, and resumes when that call has finished; results travel
+    through the enclosing function's variables.  This loop runs the
+    innermost generator first, exactly as the recursion would, so depth
+    is bounded by memory rather than by the interpreter's recursion
+    limit.
+    """
+    stack = [root]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(child)
+
+
+def generator_partition_search(
+    order: Sequence[int],
+    seeds: Sequence[int],
+    block_of: list[int],
+    forbid: list[int],
+    blocks: list[list[int]],
+    place: Callable[[int, int], tuple[object, list[tuple[int, int]]]],
+    unplace: Callable[[int, object], None],
+    lower: int,
+    budget: int,
+) -> tuple[tuple[tuple[int, ...], ...], int, bool]:
+    """Branch and bound over the partitions of ``order``.
+
+    The search owns three pieces of state that the caller reads:
+    ``block_of[v]`` is v's block (negative while v is unplaced),
+    ``blocks[b]`` lists the vertices of block b in placement order, and
+    bit b of ``forbid[u]`` says that unplaced u may not join block b.
+    All three start empty (-1, [], 0) and are left so.  The ``seeds`` are placed
+    first, in turn, each straight into a new block.  After them the next
+    vertex is the unplaced one with the most forbidden blocks, then the
+    earliest in ``order`` (Brélaz's DSATUR pick): each unplaced vertex u
+    with f > 0 forbidden blocks is keyed (n - f) * n + i, where
+    n = len(order) and u = order[i], and the least key wins; with none
+    forbidden anywhere, the first unplaced vertex of ``order``.
+
+    A vertex v is tried in the existing blocks first and then in a new
+    one; each block considered costs one node, a forbidden one too.  A
+    block in ``forbid[v]`` is skipped at once.  Otherwise v goes into
+    ``block_of`` and ``blocks`` and the caller's ``place(v, b)`` applies
+    its own rule.  The masks are the whole rule, so a placement never
+    refuses: it returns what ``unplace(v, ...)`` needs to undo it and a
+    list of bans (u, bits) for unplaced vertices u.  The search sets
+    those bits in ``forbid`` (forward checking after Haralick and
+    Elliott), keeps the bits it newly set on a trail, and after the
+    subtree calls ``unplace`` while v is still in its block, then
+    clears the trail's bits and takes v out.  Only leaves with fewer
+    blocks than the best leaf so far are reached, so the first optimal
+    leaf is kept; one with ``lower`` blocks ends the search.  Until the
+    first leaf, the best blocks are the singletons of ``sorted(order)``,
+    which every rule accepts, so a search cut before any leaf still
+    returns a partition.  Returns the best blocks, the node count and
+    whether the budget ran out.
+    """
+    n = len(order)
+    rank = [0] * len(block_of)
+    for i, v in enumerate(order):
+        rank[v] = i
+    narrowed: dict[int, int] = {}  # the pick key of each u with forbid[u] != 0
+    bound = n + 1  # blocks of the best leaf so far, or n + 1
+    best_blocks = tuple((v,) for v in sorted(order))
+    nodes = 0
+    out_of_budget = False
+
+    def search(idx: int, cursor: int) -> Generator:
+        # every vertex of order[:cursor] stays placed in this subtree
+        nonlocal bound, best_blocks, nodes, out_of_budget
+        if idx == n:
+            bound = len(blocks)
+            best_blocks = tuple(tuple(b) for b in blocks)
+            return
+        first = 0
+        if idx < len(seeds):
+            v = seeds[idx]
+            first = len(blocks)
+        elif narrowed:
+            v = order[min(narrowed.values()) % n]
+        else:
+            while block_of[order[cursor]] >= 0:
+                cursor += 1
+            v = order[cursor]
+            cursor += 1
+        held = narrowed.pop(v, None)
+        for bi in range(first, len(blocks) + 1):
+            new = bi == len(blocks)
+            if new and bi + 1 >= bound:
+                break
+            nodes += 1
+            if nodes > budget:
+                out_of_budget = True
+                break
+            if forbid[v] >> bi & 1:
+                continue
+            if new:
+                blocks.append([])
+            block_of[v] = bi
+            blocks[bi].append(v)
+            undo, bans = place(v, bi)
+            trail = []  # (u, the bits of forbid[u] this placement set)
+            for u, bits in bans:
+                bits &= ~forbid[u]
+                if bits:
+                    forbid[u] |= bits
+                    narrowed[u] = (n - forbid[u].bit_count()) * n + rank[u]
+                    trail.append((u, bits))
+            yield search(idx + 1, cursor)
+            unplace(v, undo)
+            for u, bits in trail:
+                forbid[u] ^= bits
+                if forbid[u]:
+                    narrowed[u] = (n - forbid[u].bit_count()) * n + rank[u]
+                else:
+                    del narrowed[u]
+            block_of[v] = -1
+            blocks[bi].pop()
+            if new:
+                blocks.pop()
+            if out_of_budget or bound == lower or len(blocks) >= bound:
+                break
+        if held is not None:
+            narrowed[v] = held
+
+    _run_nested(search(0, 0))
+    return best_blocks, nodes, out_of_budget
 
 
 def per_k_acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> ChromaticResult:

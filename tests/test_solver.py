@@ -29,6 +29,7 @@ from mixedgraphs import (
     sample_complete,
     special_clique,
 )
+from mixedgraphs import decomposition, solver
 from mixedgraphs.core import _partner_sets
 from mixedgraphs.solver import _partition_search
 from mixedgraphs.verification import _oracle_chromatic
@@ -45,6 +46,7 @@ from strategies import (
 )
 from reference import (
     fixed_order_chromatic_number,
+    generator_partition_search,
     quadratic_special_clique,
     relation_scan_check_homomorphism,
     set_domain_homomorphism,
@@ -380,6 +382,67 @@ def test_partition_engine_alone_finds_the_chromatic_number():
         assert len(best) == _oracle_chromatic(plain)
         if not cut[2]:
             assert cut == runs[0]
+
+
+def _engine_runs(monkeypatch, engine, search, graph, budget):
+    """What ``engine`` returns, (blocks, nodes, exhausted), when ``search``
+    runs its rule on it; each run must leave block_of, forbid and blocks
+    as it found them."""
+    runs = []
+
+    def recorded(order, seeds, block_of, forbid, blocks, *rule):
+        before = (block_of[:], forbid[:], [b[:] for b in blocks])
+        runs.append(engine(order, seeds, block_of, forbid, blocks, *rule))
+        assert (block_of, forbid, blocks) == before
+        return runs[-1]
+
+    monkeypatch.setattr(solver, "_partition_search", recorded)
+    monkeypatch.setattr(decomposition, "_partition_search", recorded)
+    search(graph, budget=budget)
+    return runs
+
+
+@pytest.mark.parametrize("search", [chromatic_number, acyclic_chromatic_number])
+def test_flat_engine_matches_the_generator_engine_at_every_budget(monkeypatch, search):
+    # A flat loop most easily drifts where a budget cuts it and while it
+    # unwinds, so every budget from 1 to the uncut node count is compared.
+    rng = random.Random(2626)
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        m = rng.randint(0, min(n * (n - 1) // 2, 2 * n))
+        g = seeded_graph(rng.choice(SIGNATURES), n, m, rng.randrange(10**6))
+        uncut = _engine_runs(monkeypatch, generator_partition_search, search, g, 10**6)
+        assert _engine_runs(monkeypatch, _partition_search, search, g, 10**6) == uncut
+        for budget in range(1, uncut[0][1] + 1 if uncut else 1):
+            assert _engine_runs(monkeypatch, _partition_search, search, g, budget) == (
+                _engine_runs(monkeypatch, generator_partition_search, search, g, budget)
+            )
+
+
+@pytest.mark.parametrize("search", [chromatic_number, acyclic_chromatic_number])
+def test_flat_engine_matches_the_generator_engine_on_2000_vertices(monkeypatch, search):
+    # A random (1,0) graph of average degree 3, with a budget of 20 nodes
+    # per vertex and then half the nodes that run took, which always cuts.
+    g = seeded_graph(ColorSignature(1, 0), 2000, 3000, 2000)
+    budget = 40_000
+    for _ in range(2):
+        flat = _engine_runs(monkeypatch, _partition_search, search, g, budget)
+        assert flat == _engine_runs(monkeypatch, generator_partition_search, search, g, budget)
+        budget = flat[0][1] // 2
+    assert flat[0][2]
+
+
+def test_chromatic_number_on_16000_sparse_vertices_is_pinned():
+    # The size the saturation buckets are for: a random (1,0) graph of
+    # average degree 3, cut at 20 nodes per vertex.  On a shared 2-vCPU
+    # host the pick by dict minimum took about 11 s here, the buckets
+    # about 1.5 s.
+    g = seeded_graph(ColorSignature(1, 0), 16_000, 24_000, 1)
+    result = chromatic_number(g, budget=320_000)
+    assert (result.lower, result.upper, result.nodes, result.exhausted) == (3, 9, 320_001, True)
+    assert hashlib.sha256(repr(result.witness.blocks).encode()).hexdigest() == (
+        "4486686df13e980f1df46c36a2bdb31cbd11900c682b30128d55ee34123f4687"
+    )
 
 
 def test_every_search_returns_an_audited_witness_that_attains_upper():
