@@ -282,6 +282,12 @@ class MixedGraph:
         self._check_vertex(v)
         return self._adj[v]
 
+    @property
+    def rows(self) -> Sequence[Mapping[int, RelationKind]]:
+        """Every vertex's row, ``rows[v] is neighbors(v)`` (read-only), for
+        passes over all vertices that need no range check per fetch."""
+        return self._adj
+
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return len(self._adj[v])
@@ -459,7 +465,7 @@ def _partner_sets(graph: MixedGraph) -> list[set[int]]:
     kinds.
     """
     partners: list[set[int]] = [set() for _ in range(graph.order)]
-    for row in map(graph.neighbors, range(graph.order)):
+    for row in graph.rows:
         by_kind: dict[RelationKind, list[int]] = {}
         for w, rel in row.items():
             by_kind.setdefault(rel, []).append(w)

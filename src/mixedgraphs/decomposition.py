@@ -300,10 +300,11 @@ def _forest_count_bound(graph: MixedGraph) -> int:
     pos = [0] * graph.order
     for i, v in enumerate(order):
         pos[v] = i
+    rows = graph.rows
     k = e = 0
     for i, v in enumerate(order):
         s = i + 1
-        e += sum(1 for w in graph.neighbors(v) if pos[w] < i)
+        e += sum(1 for w in rows[v] if pos[w] < i)
         while k < s and (k - 1) * s - k * (k - 1) // 2 < e:
             k += 1
     return k
@@ -331,15 +332,17 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
     """
     n = graph.order
     lower = _forest_count_bound(graph)
-    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    adj = [list(graph.neighbors(v)) for v in range(n)]
+    adj = list(map(list, graph.rows))
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
     block_of = [-1] * n
     forbid = [0] * n
     # Vertex x of the forest of blocks a < b is the key (a * n + b) * n + x.
     up: dict[int, int] = {}
     size: dict[int, int] = {}
     # near[u][c]: the placed neighbors of unplaced u in block c, in placement
-    # order; crowded[u]: how many of those lists hold two or more.
+    # order; crowded[u]: how many of those lists hold two or more.  A placed
+    # vertex leaves crowded until it is unplaced: it takes no bans, and no
+    # placement touches the near lists of a placed vertex.
     near: list[dict[int, list[int]]] = [{} for _ in range(n)]
     crowded: dict[int, int] = {}
 
@@ -358,7 +361,10 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
         pair = (a * n + c if a < c else c * n + a) * n
         return len({root(pair + w) for w in group}) < len(group)
 
-    def place(v: int, b: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    def place(
+        v: int, b: int
+    ) -> tuple[tuple[list[tuple[int, int]], int], list[tuple[int, int]]]:
+        count = crowded.pop(v, 0)
         links: list[tuple[int, int]] = []
         linked: set[int] = set()  # the blocks c whose forest (b, c) gains links
         for w in adj[v]:
@@ -387,8 +393,6 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
                 crowded[u] = crowded.get(u, 0) + 1
             bans.append((u, bit))
         for u in crowded:
-            if block_of[u] >= 0:
-                continue
             mask = old = forbid[u]
             for c, group in near[u].items():
                 if len(group) < 2:
@@ -406,9 +410,10 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
                         mask |= 1 << a
             if mask != old:
                 bans.append((u, mask))
-        return links, bans
+        return (links, count), bans
 
-    def unplace(v: int, links: list[tuple[int, int]]) -> None:
+    def unplace(v: int, undo: tuple[list[tuple[int, int]], int]) -> None:
+        links, count = undo
         b = block_of[v]
         cut(links)
         for u in adj[v]:
@@ -422,6 +427,8 @@ def acyclic_chromatic_number(graph: MixedGraph, budget: int = 5_000_000) -> Chro
                     del crowded[u]
             elif not group:
                 del near[u][b]
+        if count:
+            crowded[v] = count
 
     best, nodes, out_of_budget = _partition_search(
         order, (), block_of, forbid, [], place, unplace, lower, budget

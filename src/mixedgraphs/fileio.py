@@ -244,8 +244,7 @@ def dumps(
     lines.append(f"vertices {graph.order}")
     names = list(map(str, range(graph.order)))
     spelling: dict[RelationKind, tuple[str, bool, str]] = {}
-    for u, name in enumerate(names):
-        row = graph.neighbors(u)
+    for u, (name, row) in enumerate(zip(names, graph.rows)):
         later = sorted(row)
         for v in later[bisect_right(later, u):]:
             rel = row[v]

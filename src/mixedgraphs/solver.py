@@ -43,36 +43,36 @@ def check_homomorphism(
 
     Each relation must map to a relation of the same kind, direction and
     color.  Mismatched signatures or a non-total map are input errors,
-    not violations.  Relations are checked in ``source.relations()``
-    order, so the first violation is reported; each source row and the
-    row of its image are fetched once.
+    not violations.  One pass over the source's rows, in vertex order,
+    tests each relation once, from its lower end, against the row of
+    that end's image; a loop is never an image, so a collapsed pair
+    fails the same test.  Only a failing row is searched again, for its
+    least failing neighbour, so the first violation in
+    ``source.relations()`` order is reported.
     """
     _require_same_signature(source, target)
     if len(mapping) != source.order:
         raise ValueError(
             f"mapping has {len(mapping)} entries for {source.order} vertices"
         )
-    for u, x in enumerate(mapping):
-        if not 0 <= x < target.order:
-            raise ValueError(f"image {x} of vertex {u} out of range")
-    for u in range(source.order):
-        row = source.neighbors(u)
-        x = mapping[u]
-        image_row = target.neighbors(x)
-        for v in sorted(row):
-            if v < u:
-                continue
-            rel = row[v]
-            y = mapping[v]
-            if x == y:
-                return f"adjacent pair ({u}, {v}) collapses onto vertex {x}"
-            found = image_row.get(y)
-            if found is not rel:
-                have = str(found) if found is not None else "no relation"
-                return (
-                    f"pair ({u}, {v}) carries {rel} but its image ({x}, {y}) "
-                    f"carries {have}"
-                )
+    if mapping and not 0 <= min(mapping) <= max(mapping) < target.order:
+        u = next(u for u, x in enumerate(mapping) if not 0 <= x < target.order)
+        raise ValueError(f"image {mapping[u]} of vertex {u} out of range")
+    image_rows = target.rows
+    for u, row in enumerate(source.rows):
+        get = image_rows[mapping[u]].get
+        for v, rel in row.items():
+            if v > u and get(mapping[v]) is not rel:
+                break
+        else:
+            continue
+        v = min(v for v, rel in row.items() if v > u and get(mapping[v]) is not rel)
+        x, y = mapping[u], mapping[v]
+        if x == y:
+            return f"adjacent pair ({u}, {v}) collapses onto vertex {x}"
+        found = get(y)
+        have = str(found) if found is not None else "no relation"
+        return f"pair ({u}, {v}) carries {row[v]} but its image ({x}, {y}) carries {have}"
     return None
 
 
@@ -110,7 +110,7 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
         return None
 
     # a mask per kind the target uses, whatever the signature's size
-    target_rows = list(map(target.neighbors, range(nt)))
+    target_rows = target.rows
     used = dict.fromkeys((rel for row in target_rows for rel in row.values()), 0)
     rows = []
     for row in target_rows:
@@ -118,7 +118,7 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
         for y, rel in row.items():
             masks[rel] |= 1 << y
         rows.append(masks)
-    adj = list(map(source.neighbors, range(ns)))
+    adj = source.rows
     if not used.keys() >= {rel for row in adj for rel in row.values()}:
         return None  # a source relation whose kind the target has nowhere
     full = (1 << nt) - 1
@@ -515,16 +515,14 @@ def chromatic_number(graph: MixedGraph, budget: int = 10_000_000) -> ChromaticRe
     partners = _partner_sets(graph)
     clique = _greedy_clique(partners)
     lower = max(len(clique), 2 if graph.e_count > 0 else 1)
-    adj = [
-        [(w, rel, rel.dual()) for w, rel in graph.neighbors(v).items()]
-        for v in range(n)
-    ]
+    rows = graph.rows
+    adj = [[(w, rel, rel.dual()) for w, rel in row.items()] for row in rows]
     core = [v for v in range(n) if adj[v]]  # the vertices searched
     lone = [v for v in range(n) if not adj[v]]
     if not core:
         return ChromaticResult(1, 1, Partition((tuple(lone),)), 0, False)
     m = len(core)
-    partners_only = [list(partners[v].difference(graph.neighbors(v))) for v in range(n)]
+    partners_only = [list(others.difference(row)) for others, row in zip(partners, rows)]
     order = sorted(core, key=lambda v: (-len(adj[v]), v))
     # a one-vertex clique forces nothing, and its vertex may have no neighbour
     seeds = [v for v in order if v in clique] if len(clique) > 1 else []

@@ -348,7 +348,7 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
     degeneracy, order = degeneracy_ordering(graph)
     kind_row = target.kind_row
     everything = (1 << tg.order) - 1
-    rows = list(map(graph.neighbors, range(graph.order)))
+    rows = graph.rows
     image = [-1] * graph.order
     steps: list[GreedyStep] = []
     for v in order:
@@ -406,11 +406,12 @@ def _bits(mask: int) -> frozenset[int]:
 
 
 def _is_connected(graph: MixedGraph) -> bool:
+    rows = graph.rows
     seen = {0}
     stack = [0]
     while stack:
         v = stack.pop()
-        for w in graph.neighbors(v):
+        for w in rows[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -434,7 +435,7 @@ def extend_regular(
     _require_same_signature(graph, tg)
     if graph.order < 2 or graph.e_count == 0:
         raise ValueError("need a graph with at least one relation")
-    degrees = {graph.degree(v) for v in range(graph.order)}
+    degrees = set(map(len, graph.rows))
     if len(degrees) != 1:
         raise ValueError(f"graph is not regular: degrees {sorted(degrees)}")
     if not _is_connected(graph):

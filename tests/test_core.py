@@ -24,7 +24,7 @@ from mixedgraphs import (
     require_rich_signature,
     special_pairs,
 )
-from mixedgraphs import core
+from mixedgraphs import core, fileio
 from reference import min_scan_degeneracy
 from strategies import SIGNATURES, mixed_graphs, sparse_graph, sparse_graphs
 
@@ -380,6 +380,30 @@ def test_relation_block_needs_a_graph_without_relations():
     g.add_arc(0, 1, 1)
     with pytest.raises(ValueError, match="no relations"):
         g.add_relation_block([], [], [])
+
+
+def _rows_are_the_neighbor_rows(g: MixedGraph) -> bool:
+    return len(g.rows) == g.order and all(g.rows[v] is g.neighbors(v) for v in range(g.order))
+
+
+@given(sparse_graphs(max_order=20))
+def test_rows_are_the_neighbor_rows_built_parsed_and_bulk_loaded(built):
+    assert _rows_are_the_neighbor_rows(built)
+    parsed = fileio.loads(fileio.dumps(built)).graph
+    assert _rows_are_the_neighbor_rows(parsed)
+    bulk = MixedGraph(built.signature, built.order)
+    us, vs, rels = map(list, zip(*built.relations())) if built.e_count else ([], [], [])
+    assert bulk.add_relation_block(us, vs, rels)
+    assert _rows_are_the_neighbor_rows(bulk)
+    for g in (parsed, bulk):
+        assert [dict(row) for row in g.rows] == [dict(row) for row in built.rows]
+
+
+def test_rows_follow_a_refused_relation_block():
+    g = MixedGraph(ColorSignature(1, 0), 3)
+    assert not g.add_relation_block([0, 1], [1, 0], [arc_out(1), arc_in(1)])
+    assert _rows_are_the_neighbor_rows(g)
+    assert not any(g.rows)
 
 
 # --- common neighborhoods ----------------------------------------------------

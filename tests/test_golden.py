@@ -11,16 +11,22 @@ which names every entry it adds, removes or changes, and review its diff.
 import contextlib
 import io
 import json
+import os
 import random
+import re
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import mixedgraphs
 from mixedgraphs.cli import build_parser, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = GOLDEN / "expected.json"
+ROOT = Path(__file__).resolve().parents[1]
 
 # argv per command; a word ending in ".mg" or ".map" names a file in tests/golden/
 COMMANDS = {
@@ -189,6 +195,58 @@ def test_shared_parser_keeps_no_state_between_commands(seed):
     assert usage["stderr"].startswith("usage: mixedgraphs chi")
     assert _capture("chi c5.mg --budget 5 --format records")["stdout"].startswith("{")
     assert _capture("chi c5.mg") == expected["chi-c5"]
+
+
+# Runs every command given on stdin as {name: argv} through ``cli.run`` in
+# one process and prints {name: {"exit", "stdout", "stderr"}} as JSON.
+_DRIVER = """
+import contextlib, io, json, sys
+from mixedgraphs.cli import run
+results = {}
+for name, argv in json.load(sys.stdin).items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    results[name] = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+print(json.dumps(results))
+"""
+
+
+def _floor_python() -> str | None:
+    """The interpreter named after the oldest Python that pyproject.toml
+    allows (``python3.10`` for ``>=3.10``), if one on PATH runs and is
+    that version; a version manager's shim with no such version selected
+    fails the probe."""
+    major, minor = re.search(
+        r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()
+    ).groups()
+    exe = shutil.which(f"python{major}.{minor}")
+    if exe is None:
+        return None
+    probe = subprocess.run(
+        [exe, "-c", "import sys; print(*sys.version_info[:2])"],
+        capture_output=True, text=True, timeout=60,
+    )
+    return exe if probe.stdout.split() == [major, minor] else None
+
+
+def test_golden_output_under_the_oldest_supported_python():
+    exe = _floor_python()
+    if exe is None:
+        pytest.skip("no working interpreter of the oldest supported Python on PATH")
+    src = Path(mixedgraphs.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [exe, "-c", _DRIVER],
+        input=json.dumps({name: _argv(command) for name, command in COMMANDS.items()}),
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)
+    expected = json.loads(EXPECTED.read_text())
+    assert sorted(results) == sorted(expected)
+    for name in sorted(expected):
+        assert results[name] == expected[name], name
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -196,6 +197,67 @@ def test_check_homomorphism_reports_the_first_violation(source, target, rng):
     hom = find_homomorphism(source, target)
     if hom is not None:
         assert check_homomorphism(source, target, hom.mapping) is None
+
+
+def test_check_homomorphism_names_the_least_violation_past_row_zero():
+    """Homomorphisms with one to three images changed break relations
+    past row 0, often several in one row; the audit names the same pair
+    as one ``relation_from`` per relation in ``relations()`` order."""
+    past_row_zero = shared_rows = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        sig = SIGNATURES[seed % len(SIGNATURES)]
+        n = rng.randrange(8, 30)
+        source = seeded_graph(sig, n, n + n // 2, seed)
+        target = sample_complete(sig, 12, seed).graph
+        hom = find_homomorphism(source, target)
+        if hom is None:
+            continue
+        for changes in (1, 2, 3):
+            mapping = list(hom.mapping)
+            for v in rng.sample(range(n), changes):
+                mapping[v] = rng.randrange(target.order)
+            verdict = check_homomorphism(source, target, mapping)
+            assert verdict == relation_scan_check_homomorphism(source, target, mapping)
+            if verdict is None:
+                continue
+            u = int(re.search(r"pair \((\d+), ", verdict).group(1))
+            past_row_zero += u > 0
+            x = mapping[u]
+            broken = [
+                v for v, rel in source.neighbors(u).items()
+                if v > u and (mapping[v] == x or target.relation_from(x, mapping[v]) is not rel)
+            ]
+            shared_rows += len(broken) > 1
+    assert past_row_zero >= 40 and shared_rows >= 10
+
+
+def test_check_homomorphism_names_the_least_failing_neighbour_not_the_first_in_its_row():
+    source = MixedGraph(ColorSignature(1, 0), 4)
+    for v in (3, 2, 1):  # row 0 holds its later violation (0, 3) first
+        source.add_arc(0, v)
+    assert list(source.neighbors(0)) == [3, 2, 1]
+    target = directed_cycle(3)  # 0 -> 1 -> 2 -> 0
+    # (0, 1) holds, (0, 2) maps onto the arc 2 -> 0, and (0, 3) collapses
+    mapping = [0, 1, 2, 0]
+    expected = "pair (0, 2) carries +a1 but its image (0, 2) carries -a1"
+    assert check_homomorphism(source, target, mapping) == expected
+    assert relation_scan_check_homomorphism(source, target, mapping) == expected
+
+
+@pytest.mark.parametrize(
+    "mapping, named",
+    [
+        ([0, 5, 1, -1], "image 5 of vertex 1"),
+        ([0, -1, 7, 1], "image -1 of vertex 1"),
+        ([0, -1, 2, -2], "image -1 of vertex 1"),  # none too high
+    ],
+)
+def test_check_homomorphism_names_the_first_image_out_of_range(mapping, named):
+    source = directed_path(4)
+    for audit in (check_homomorphism, relation_scan_check_homomorphism):
+        with pytest.raises(ValueError, match=f"^{named} out of range$"):
+            audit(source, directed_cycle(3), mapping)
 
 
 def test_find_homomorphism_known_cases():
