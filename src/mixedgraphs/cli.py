@@ -100,10 +100,21 @@ class _Output:
         return OK
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``, or of stdin for ``-``."""
+    return sys.stdin.read() if path == "-" else Path(path).read_text()
+
+
 def _read_document(path: str) -> fileio.GraphDocument:
-    if path == "-":
-        return fileio.loads(sys.stdin.read())
-    return fileio.load(path)
+    return fileio.loads(_read_text(path))
+
+
+def _write_graph(args: argparse.Namespace, graph, **sidecars) -> None:
+    """Write ``graph`` and its sidecar lines to ``-o`` (``-`` is stdout), if given."""
+    if args.output == "-":
+        sys.stdout.write(fileio.dumps(graph, **sidecars))
+    elif args.output is not None:
+        Path(args.output).write_text(fileio.dumps(graph, **sidecars))
 
 
 def _sidecar(args: argparse.Namespace, doc: fileio.GraphDocument, lines: str) -> dict:
@@ -115,9 +126,24 @@ def _sidecar(args: argparse.Namespace, doc: fileio.GraphDocument, lines: str) ->
     return found
 
 
-def _emit_search(args, doc, result: ChromaticResult, title: str, first_color: int) -> int:
-    """Emit an exact result with its witness coloring, or exhausted bounds."""
-    out = _Output(args)
+def _emit_coloring(
+    args, out: _Output, doc, record: dict, lines: list[str], coloring: dict[int, int]
+) -> None:
+    """Emit a result and its witness coloring, spelled three ways: ``color``
+    lines after ``lines`` in text, a ``witness`` list in ``record``, and
+    the input graph with that coloring written to ``-o``."""
+    order = sorted(coloring)
+    if not out.records:
+        lines = lines + [f"color {v} {coloring[v]}" for v in order]
+    out.emit({**record, "witness": [coloring[v] for v in order]}, lines)
+    _write_graph(args, doc.graph, coloring=coloring)
+
+
+def _emit_search(
+    args, out: _Output, doc, result: ChromaticResult, title: str, first_color: int
+) -> int:
+    """Emit an exact result through ``_emit_coloring``, its blocks numbered
+    from ``first_color``, or the bounds an exhausted search reached."""
     if not result.exact:
         out.emit(
             {
@@ -132,33 +158,9 @@ def _emit_search(args, doc, result: ChromaticResult, title: str, first_color: in
         )
         return BUDGET
     coloring = {v: b + first_color for v, b in result.witness.block_of().items()}
-    lines = [f"{title} {result.k}"]
-    lines.extend(_coloring_lines(out, coloring))
-    out.emit(
-        {
-            "record": args.command,
-            "exact": True,
-            "k": result.k,
-            "nodes": result.nodes,
-            "witness": [coloring[v] for v in sorted(coloring)],
-        },
-        lines,
-    )
-    if args.output:
-        _write_or_print(args.output, fileio.dumps(doc.graph, coloring=coloring))
+    record = {"record": args.command, "exact": True, "k": result.k, "nodes": result.nodes}
+    _emit_coloring(args, out, doc, record, [f"{title} {result.k}"], coloring)
     return OK
-
-
-def _write_or_print(out: str | None, text: str) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
-def _coloring_lines(out: _Output, coloring: dict[int, int]) -> list[str]:
-    """The ``color u c`` lines of a witness; none for records output."""
-    return [] if out.records else [f"color {v} {coloring[v]}" for v in sorted(coloring)]
 
 
 def _map_lines(out: _Output, hom: Homomorphism) -> list[str]:
@@ -166,13 +168,8 @@ def _map_lines(out: _Output, hom: Homomorphism) -> list[str]:
     return [] if out.records else fileio.dumps_mapping(hom.as_dict()).splitlines()
 
 
-def _forest_decomposition(args: argparse.Namespace, doc) -> ForestDecomposition:
-    """Forest lines from --forests, else from the input, else the fewest forests."""
-    if getattr(args, "forests", None):
-        side = _read_document(args.forests)
-        if not side.forests:
-            raise ValueError(f"{args.forests} has no forest lines")
-        return ForestDecomposition.from_assignment(side.forests)
+def _forest_decomposition(doc: fileio.GraphDocument) -> ForestDecomposition:
+    """The input's forest lines (as ``arb -o`` writes them), else the fewest forests."""
     if doc.forests:
         return ForestDecomposition.from_assignment(doc.forests)
     return greedy_forests(doc.graph)
@@ -181,9 +178,8 @@ def _forest_decomposition(args: argparse.Namespace, doc) -> ForestDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_chi(args: argparse.Namespace) -> int:
+def _cmd_chi(args: argparse.Namespace, out: _Output) -> int:
     doc = _read_document(args.graph)
-    out = _Output(args)
     if args.check is not None:
         coloring = _sidecar(args, doc, "color")
         _require_per_vertex(coloring, doc.graph.order, "coloring")
@@ -198,16 +194,14 @@ def _cmd_chi(args: argparse.Namespace) -> int:
         )
         return OK
     result = chromatic_number(doc.graph, budget=args.budget)
-    return _emit_search(args, doc, result, "chromatic number", 0)
+    return _emit_search(args, out, doc, result, "chromatic number", 0)
 
 
-def _cmd_hom(args: argparse.Namespace) -> int:
+def _cmd_hom(args: argparse.Namespace, out: _Output) -> int:
     source = _read_document(args.source).graph
     target = _read_document(args.target).graph
-    out = _Output(args)
     if args.check is not None:
-        text = Path(args.check).read_text() if args.check != "-" else sys.stdin.read()
-        mapping = fileio.loads_mapping(text)
+        mapping = fileio.loads_mapping(_read_text(args.check))
         _require_per_vertex(mapping, source.order, "map")
         failure = check_homomorphism(
             source, target, [mapping[v] for v in range(source.order)]
@@ -224,9 +218,8 @@ def _cmd_hom(args: argparse.Namespace) -> int:
     return OK
 
 
-def _cmd_arb(args: argparse.Namespace) -> int:
+def _cmd_arb(args: argparse.Namespace, out: _Output) -> int:
     doc = _read_document(args.graph)
-    out = _Output(args)
     if args.check is not None:
         fd = ForestDecomposition.from_assignment(_sidecar(args, doc, "forest"))
         failure = check_forest_decomposition(doc.graph, fd)
@@ -246,30 +239,25 @@ def _cmd_arb(args: argparse.Namespace) -> int:
         },
         lines,
     )
-    if args.output:
-        _write_or_print(
-            args.output, fileio.dumps(doc.graph, forests=dict(fd.assignment))
-        )
+    _write_graph(args, doc.graph, forests=dict(fd.assignment))
     return OK
 
 
-def _cmd_acyclic(args: argparse.Namespace) -> int:
+def _cmd_acyclic(args: argparse.Namespace, out: _Output) -> int:
     doc = _read_document(args.graph)
-    out = _Output(args)
     if args.check is not None:
         coloring = _sidecar(args, doc, "color")
         failure = check_acyclic_coloring(doc.graph, coloring)
         k = len(set(coloring.values()))
         return out.verdict("acyclic coloring", failure, f"{k} colors", k=k)
     result = acyclic_chromatic_number(doc.graph, budget=args.budget)
-    return _emit_search(args, doc, result, "acyclic chromatic number", 1)
+    return _emit_search(args, out, doc, result, "acyclic chromatic number", 1)
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace, out: _Output) -> int:
     sig = ColorSignature(*args.sig)
     if args.family == "hk":
         h = build_hk(sig, args.k)
-        coloring = hk_acyclic_coloring(h)
         comments = [
             f"tightness construction: k={args.k}, signature {sig}",
             f"order {h.graph.order}; color lines give the acyclic {args.k}-coloring",
@@ -278,22 +266,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             f"role {v} {' '.join(str(part) for part in h.roles[v])}"
             for v in sorted(h.roles)
         )
-        text = fileio.dumps(h.graph, coloring=coloring, comments=comments)
+        _write_graph(args, h.graph, coloring=hk_acyclic_coloring(h), comments=comments)
     else:
         g = build_special_gadget(sig, args.t)
         comments = [
             f"subdivided K_{args.t}: branch vertices 0..{args.t - 1}, "
             f"internal vertices {args.t}..{g.order - 1}",
         ]
-        text = fileio.dumps(g, comments=comments)
-    _write_or_print(args.output, text)
+        _write_graph(args, g, comments=comments)
     return OK
 
 
-def _cmd_digits(args: argparse.Namespace) -> int:
+def _cmd_digits(args: argparse.Namespace, out: _Output) -> int:
     doc = _read_document(args.graph)
-    out = _Output(args)
-    fd = _forest_decomposition(args, doc)
+    fd = _forest_decomposition(doc)
     layers = digit_graphs(doc.graph, fd)
     paths = []
     for i, layer in enumerate(layers):
@@ -313,10 +299,9 @@ def _cmd_digits(args: argparse.Namespace) -> int:
     return OK
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
+def _cmd_pipeline(args: argparse.Namespace, out: _Output) -> int:
     doc = _read_document(args.graph)
-    out = _Output(args)
-    fd = _forest_decomposition(args, doc)
+    fd = _forest_decomposition(doc)
     result = acyclic_from_homomorphisms(doc.graph, fd, hom_budget=args.budget)
     if result.exact:
         key, layers = "layer_chromatics", [layer.k for layer in result.layers]
@@ -324,29 +309,23 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     else:
         key, layers = "layer_bounds", [[layer.lower, layer.upper] for layer in result.layers]
         summary = f"budget exhausted: layer chromatic bounds {layers}"
+    record = {
+        "record": "acyclic-pipeline",
+        "palette": result.palette,
+        "forests": result.forest_count,
+        key: layers,
+    }
     lines = [
         f"palette {result.palette}",
         f"# forests {result.forest_count}, digit layers {len(result.layers)}, {summary}",
     ]
-    lines.extend(_coloring_lines(out, result.colors))
-    out.emit(
-        {
-            "record": "acyclic-pipeline",
-            "palette": result.palette,
-            "forests": result.forest_count,
-            key: layers,
-            "witness": [result.colors[v] for v in sorted(result.colors)],
-        },
-        lines,
-    )
-    if args.output:
-        _write_or_print(args.output, fileio.dumps(doc.graph, coloring=result.colors))
+    _emit_coloring(args, out, doc, record, lines, result.colors)
     return OK if result.exact else BUDGET
 
 
-def _cmd_sample_target(args: argparse.Namespace) -> int:
+def _cmd_sample_target(args: argparse.Namespace, out: _Output) -> int:
     target = sample_complete(ColorSignature(*args.sig), args.order, args.seed)
-    _write_or_print(args.output, fileio.dumps(target.graph, seed=target.seed))
+    _write_graph(args, target.graph, seed=target.seed)
     return OK
 
 
@@ -355,10 +334,8 @@ def _parse_property(args: argparse.Namespace) -> PropertySpec:
     return PropertySpec(args.tuples, minimums)
 
 
-def _cmd_check_q(args: argparse.Namespace) -> int:
-    doc = _read_document(args.graph)
-    out = _Output(args)
-    target = CompleteMixedTarget(doc.graph, doc.seed)
+def _cmd_check_q(args: argparse.Namespace, out: _Output) -> int:
+    target = CompleteMixedTarget(_read_document(args.graph).graph)
     spec = _parse_property(args)
     violation = check_property_q(target, spec)
     if violation is None:
@@ -381,11 +358,10 @@ def _cmd_check_q(args: argparse.Namespace) -> int:
     return VIOLATED
 
 
-def _cmd_search_q(args: argparse.Namespace) -> int:
+def _cmd_search_q(args: argparse.Namespace, out: _Output) -> int:
     sig = ColorSignature(*args.sig)
     spec = _parse_property(args)
     found = search_q_target(sig, args.order, spec, args.attempts, args.seed)
-    out = _Output(args)
     if found is None:
         out.emit(
             {"record": "search-q", "found": False, "attempts": args.attempts},
@@ -396,16 +372,13 @@ def _cmd_search_q(args: argparse.Namespace) -> int:
         {"record": "search-q", "found": True, "seed": found.seed},
         f"found target (derived seed {found.seed})",
     )
-    if args.output:
-        _write_or_print(args.output, fileio.dumps(found.graph, seed=found.seed))
+    _write_graph(args, found.graph, seed=found.seed)
     return OK
 
 
-def _cmd_greedy_hom(args: argparse.Namespace) -> int:
+def _cmd_greedy_hom(args: argparse.Namespace, out: _Output) -> int:
     source = _read_document(args.source).graph
-    target_doc = _read_document(args.target)
-    out = _Output(args)
-    target = CompleteMixedTarget(target_doc.graph, target_doc.seed)
+    target = CompleteMixedTarget(_read_document(args.target).graph)
     try:
         embedding = greedy_homomorphism(source, target)
     except PropertyViolatedError as exc:
@@ -437,11 +410,9 @@ def _cmd_greedy_hom(args: argparse.Namespace) -> int:
     return OK
 
 
-def _cmd_extend_regular(args: argparse.Namespace) -> int:
+def _cmd_extend_regular(args: argparse.Namespace, out: _Output) -> int:
     source = _read_document(args.source).graph
-    target_doc = _read_document(args.target)
-    out = _Output(args)
-    target = CompleteMixedTarget(target_doc.graph, target_doc.seed)
+    target = CompleteMixedTarget(_read_document(args.target).graph)
     try:
         extended, hom = extend_regular(source, target)
     except PropertyViolatedError as exc:
@@ -461,8 +432,7 @@ def _cmd_extend_regular(args: argparse.Namespace) -> int:
         },
         lines,
     )
-    if args.output:
-        _write_or_print(args.output, fileio.dumps(extended.graph))
+    _write_graph(args, extended.graph)
     return OK
 
 
@@ -485,8 +455,7 @@ _BOUNDS = {
 }
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    out = _Output(args)
+def _cmd_bounds(args: argparse.Namespace, out: _Output) -> int:
     name = args.bound
     value = _BOUNDS[name][2](*args.params)
     if name == "degree":
@@ -511,9 +480,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return OK
 
 
-def _cmd_counting(args: argparse.Namespace) -> int:
+def _cmd_counting(args: argparse.Namespace, out: _Output) -> int:
     doc = _read_document(args.graph)
-    out = _Output(args)
     report = bounds_mod.counting_inequality_check(doc.graph, args.k)
     out.emit(
         {
@@ -532,7 +500,7 @@ def _cmd_counting(args: argparse.Namespace) -> int:
     return OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, out: _Output) -> int:
     numbers = (
         tuple(int(x) for x in args.criteria.split(",")) if args.criteria else None
     )
@@ -652,21 +620,21 @@ def build_parser() -> argparse.ArgumentParser:
     g = gen_sub.add_parser("hk", help="the tightness construction")
     g.add_argument("k", type=int)
     _add_sig(g)
-    g.add_argument("-o", "--output", help="write here instead of stdout")
+    g.add_argument("-o", "--output", default="-", help="write here instead of stdout")
     g.set_defaults(func=_cmd_gen)
     g = gen_sub.add_parser(
         "gadget", help="K_t with every edge subdivided into a special 2-path"
     )
     g.add_argument("t", type=int)
     _add_sig(g)
-    g.add_argument("-o", "--output", help="write here instead of stdout")
+    g.add_argument("-o", "--output", default="-", help="write here instead of stdout")
     g.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("digits", help="write the digit layer graphs")
-    _add_graph(p)
-    p.add_argument(
-        "--forests", metavar="FD", help="file with forest lines (default: the fewest forests)"
+    p = sub.add_parser(
+        "digits", help="write the digit layer graphs of the input's forest lines, "
+        "as arb -o writes them (default: the fewest forests)"
     )
+    _add_graph(p)
     p.add_argument(
         "-o", "--out-prefix", required=True, help="layer files get this prefix"
     )
@@ -674,12 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_digits)
 
     p = sub.add_parser(
-        "acyclic-pipeline", help="acyclic coloring via layer homomorphisms"
+        "acyclic-pipeline", help="acyclic coloring via the layer homomorphisms of the "
+        "input's forest lines (default: the fewest forests)"
     )
     _add_graph(p)
-    p.add_argument(
-        "--forests", metavar="FD", help="file with forest lines (default: the fewest forests)"
-    )
     _add_budget(p, 10_000_000, "for each digit layer's chromatic number")
     p.add_argument("-o", "--output", help="write graph plus coloring here")
     _add_format(p)
@@ -689,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sig(p)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-o", "--output", help="write here instead of stdout")
+    p.add_argument("-o", "--output", default="-", help="write here instead of stdout")
     p.set_defaults(func=_cmd_sample_target)
 
     p = sub.add_parser(
@@ -761,8 +727,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:
-        return args.func(args)
-    except (fileio.FormatError, OSError, ValueError) as exc:
+        return args.func(args, _Output(args))
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

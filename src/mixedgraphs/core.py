@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 ARC_OUT = "out"
@@ -107,14 +106,6 @@ def edge(color: int = 1) -> RelationKind:
     return RelationKind(EDGE, color)
 
 
-@lru_cache(maxsize=None)
-def _canonical_kinds(m: int, n: int) -> tuple[RelationKind, ...]:
-    outs = [RelationKind(ARC_OUT, c) for c in range(1, m + 1)]
-    ins = [RelationKind(ARC_IN, c) for c in range(1, m + 1)]
-    edges = [RelationKind(EDGE, c) for c in range(1, n + 1)]
-    return tuple(outs + ins + edges)
-
-
 @dataclass(frozen=True)
 class ColorSignature:
     """Counts of arc colors (m) and edge colors (n); p = 2m + n."""
@@ -133,13 +124,15 @@ class ColorSignature:
         return 2 * self.m + self.n
 
     def kinds(self) -> tuple[RelationKind, ...]:
-        """All p relation kinds in canonical order.
+        """All p relation kinds in canonical order, ``kind_at(i)`` at i.
 
         The canonical order is all outgoing arc kinds by color, then all
         incoming arc kinds, then all edge kinds; its positions are the
-        digit values used by the layered relabeling pipeline.
+        digit values used by the layered relabeling pipeline.  Kinds are
+        interned, so each call builds only the tuple; a caller that scans
+        them more than once keeps the tuple.
         """
-        return _canonical_kinds(self.m, self.n)
+        return tuple(map(self.kind_at, range(self.p)))
 
     def kind_at(self, index: int) -> RelationKind:
         """The kind at canonical position ``index``; IndexError outside

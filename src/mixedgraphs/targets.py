@@ -428,8 +428,10 @@ def extend_regular(
     the relation demands of u and v through the embedding; u'v' copies
     uv and every remaining new pair gets the first canonical kind.  The
     demands never conflict because special 2-paths through u or v keep
-    the relevant images distinct.  Returns the extended target and a
-    verified homomorphism of the full graph into it.
+    the relevant images distinct.  The target's relations, in
+    ``relations()`` order, u'v' and both fresh rows go in as one relation
+    block.  Returns the extended target and a verified homomorphism of
+    the full graph into it.
     """
     tg = target.graph
     _require_same_signature(graph, tg)
@@ -447,34 +449,29 @@ def extend_regular(
     f = embedding.homomorphism.mapping
 
     n = tg.order
-    extended = MixedGraph(graph.signature, n + 2)
-    copied = list(tg.relations())
-    installed = extended.add_relation_block(
-        [a for a, _, _ in copied], [b for _, b, _ in copied], [rel for _, _, rel in copied]
-    )
-    assert installed, "the target's relations failed their checks in the extension"
     u_new, v_new = n, n + 1
-
+    copied = list(tg.relations())
+    us = [a for a, _, _ in copied] + [u_new]
+    vs = [b for _, b, _ in copied] + [v_new]
+    rels = [rel for _, _, rel in copied] + [graph.relation_from(u, v)]
+    first = graph.signature.kind_at(0)
     for fresh, original in ((u_new, u), (v_new, v)):
-        for x in sorted(graph.neighbors(original)):
+        demands: dict[int, RelationKind] = {}
+        for x, rel in sorted(graph.rows[original].items()):
             if x in (u, v):
                 continue
-            y = f[x]
-            rel = graph.relation_from(original, x)
-            have = extended.relation_from(fresh, y)
-            if have is None:
-                extended.add_relation(fresh, y, rel)
-            elif have != rel:
+            have = demands.setdefault(f[x], rel)
+            if have != rel:
                 raise AssertionError(
-                    f"conflicting demands on image {y}: {have} vs {rel}; "
+                    f"conflicting demands on image {f[x]}: {have} vs {rel}; "
                     "the embedding should have kept these apart"
                 )
-    extended.add_relation(u_new, v_new, graph.relation_from(u, v))
-    first = graph.signature.kind_at(0)
-    for fresh in (u_new, v_new):
-        for y in range(n):
-            if extended.relation_from(fresh, y) is None:
-                extended.add_relation(fresh, y, first)
+        us += [fresh] * n
+        vs += range(n)
+        rels += [demands.get(y, first) for y in range(n)]
+    extended = MixedGraph(graph.signature, n + 2)
+    installed = extended.add_relation_block(us, vs, rels)
+    assert installed, "the extension's relations failed their checks"
 
     mapping = list(f)
     mapping[u] = u_new

@@ -111,19 +111,18 @@ def criterion_1() -> tuple[bool, str]:
     checked = 0
     for m, n in ((1, 0), (0, 2), (1, 1), (2, 0)):
         sig = ColorSignature(m, n)
-        for r1 in sig.kinds():
-            for r2 in sig.kinds():
-                g = MixedGraph(sig, 3)
-                g.add_relation(1, 0, r1)
-                g.add_relation(1, 2, r2)
-                verdict = is_special_2path(g, 0, 1, 2)
-                oracle = not _oracle_endpoints_identifiable(sig, r1, r2)
-                if verdict != oracle:
-                    return False, (
-                        f"disagreement at signature ({m},{n}), kinds {r1}/{r2}: "
-                        f"classifier {verdict}, oracle {oracle}"
-                    )
-                checked += 1
+        for r1, r2 in product(sig.kinds(), repeat=2):
+            g = MixedGraph(sig, 3)
+            g.add_relation(1, 0, r1)
+            g.add_relation(1, 2, r2)
+            verdict = is_special_2path(g, 0, 1, 2)
+            oracle = not _oracle_endpoints_identifiable(sig, r1, r2)
+            if verdict != oracle:
+                return False, (
+                    f"disagreement at signature ({m},{n}), kinds {r1}/{r2}: "
+                    f"classifier {verdict}, oracle {oracle}"
+                )
+            checked += 1
     return True, f"{checked} labelings agree with the brute-force oracle"
 
 

@@ -157,10 +157,45 @@ def test_exhausted_pipeline_writes_a_coloring_that_rechecks(tmp_path, capsys):
 
 
 def test_pipeline_accepts_forest_file(c5, tmp_path, capsys):
+    # the file arb -o writes is an input whose forest lines the pipeline uses
     forests = str(tmp_path / "fd.mg")
     assert run(["arb", c5, "-o", forests]) == 0
+    count = len(set(fileio.load(forests).forests.values()))
     capsys.readouterr()
-    assert run(["acyclic-pipeline", c5, "--forests", forests]) == 0
+    assert run(["acyclic-pipeline", forests, "--format", "records"]) == 0
+    assert _records(capsys)[0]["forests"] == count
+
+
+# (command, golden input, extra arguments, exit code): each witness flow
+# on three inputs, and the pipeline cut by its budget
+_WITNESS_RUNS = [
+    (command, name, [], 0)
+    for command in ("chi", "acyclic", "acyclic-pipeline")
+    for name in ("c5", "mixed", "dense")
+] + [("acyclic-pipeline", "dense", ["--budget", "40"], 3)]
+
+
+@pytest.mark.parametrize("command, name, extra, code", _WITNESS_RUNS)
+def test_one_witness_three_spellings(command, name, extra, code, tmp_path, capsys):
+    # The text color lines, the records' witness list and the color lines
+    # of the -o file name one coloring of the input graph, and that file
+    # passes the matching --check on its own.
+    graph = Path(__file__).resolve().parent / "golden" / f"{name}.mg"
+    argv = [command, str(graph), *extra]
+    text_file, records_file = tmp_path / "text.mg", tmp_path / "records.mg"
+    assert run(argv + ["-o", str(text_file)]) == code
+    lines = capsys.readouterr().out.splitlines()
+    spelled = dict(map(int, line.split()[1:]) for line in lines if line.startswith("color "))
+    assert run(argv + ["-o", str(records_file), "--format", "records"]) == code
+    witness = _records(capsys)[0]["witness"]
+    assert records_file.read_text() == text_file.read_text()
+    written = fileio.load(text_file)
+    assert fileio.dumps(written.graph) == fileio.dumps(fileio.load(graph).graph)
+    assert spelled == dict(enumerate(witness)) == written.coloring
+    assert len(witness) == written.graph.order
+    check = "chi" if command == "chi" else "acyclic"
+    assert run([check, str(text_file), "--check", "--format", "records"]) == 0
+    assert _records(capsys)[0]["valid"]
 
 
 def test_target_search_and_check(tmp_path, capsys):
@@ -352,12 +387,13 @@ def test_forest_lines_of_the_input_are_used(command, c5, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["digits", "acyclic-pipeline"])
-def test_forests_file_without_forest_lines_is_a_usage_error(command, c5, tmp_path, capsys):
+def test_forests_flag_is_a_usage_error(command, c5, tmp_path, capsys):
+    # forest lines come from the input only, as arb -o writes them
     argv = [command, c5, "--forests", c5]
     if command == "digits":
         argv += ["-o", str(tmp_path / "layer")]
     assert run(argv) == 2
-    assert f"{c5} has no forest lines" in capsys.readouterr().err
+    assert "unrecognized arguments: --forests" in capsys.readouterr().err
 
 
 def test_extend_regular_reports_a_failed_greedy_pass(tmp_path, capsys):

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import mixedgraphs
+from mixedgraphs import targets
 from mixedgraphs.cli import build_parser, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -212,28 +213,38 @@ print(json.dumps(results))
 """
 
 
-def _floor_python() -> str | None:
-    """The interpreter named after the oldest Python that pyproject.toml
-    allows (``python3.10`` for ``>=3.10``), if one on PATH runs and is
-    that version; a version manager's shim with no such version selected
-    fails the probe."""
-    major, minor = re.search(
-        r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()
-    ).groups()
-    exe = shutil.which(f"python{major}.{minor}")
+def _python(version: tuple[str, str]) -> str | None:
+    """The interpreter ``python3.N`` on PATH for ``version`` ("3", "N"), if
+    it runs and is that version; a version manager's shim with no such
+    version selected fails the probe."""
+    exe = shutil.which("python" + ".".join(version))
     if exe is None:
         return None
     probe = subprocess.run(
         [exe, "-c", "import sys; print(*sys.version_info[:2])"],
         capture_output=True, text=True, timeout=60,
     )
-    return exe if probe.stdout.split() == [major, minor] else None
+    return exe if probe.stdout.split() == list(version) else None
 
 
-def test_golden_output_under_the_oldest_supported_python():
-    exe = _floor_python()
+# the oldest Python that pyproject.toml allows (3.10 for ">=3.10"), and the
+# newest whose random stream ``targets._randrange_run`` documents as checked
+_OLDEST = re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()
+).groups()
+_NEWEST = re.search(
+    r"\(\d+\.\d+-(\d+)\.(\d+)\)", targets._randrange_run.__doc__
+).groups()
+
+
+@pytest.mark.parametrize(
+    "version",
+    [pytest.param(_OLDEST, id="oldest"), pytest.param(_NEWEST, id="newest")],
+)
+def test_golden_output_under_the_supported_pythons(version):
+    exe = _python(version)
     if exe is None:
-        pytest.skip("no working interpreter of the oldest supported Python on PATH")
+        pytest.skip(f"no working python{'.'.join(version)} on PATH")
     src = Path(mixedgraphs.__file__).resolve().parents[1]
     done = subprocess.run(
         [exe, "-c", _DRIVER],

@@ -276,6 +276,23 @@ def test_find_homomorphism_maps_the_empty_graph_by_the_empty_map():
 
 
 @pytest.mark.parametrize(
+    "source, expected",
+    [
+        pytest.param(MixedGraph(ColorSignature(1, 0), 0), Homomorphism(()), id="order-0"),
+        pytest.param(MixedGraph(ColorSignature(1, 0), 2), None, id="edgeless"),
+        pytest.param(directed_path(2), None, id="one-arc"),
+    ],
+)
+def test_find_homomorphism_into_the_empty_target(source, expected):
+    # The search has no early return for an empty source or target: the
+    # loop maps an empty source, a source kind the target lacks refutes
+    # the one-arc source, and the first vertex's empty domain the edgeless one.
+    empty = MixedGraph(ColorSignature(1, 0), 0)
+    assert find_homomorphism(source, empty) == expected
+    assert set_domain_homomorphism(source, empty) == expected
+
+
+@pytest.mark.parametrize(
     "entry",
     [
         pytest.param(lambda s, t: check_homomorphism(s, t, [0, 1]), id="check_homomorphism"),
