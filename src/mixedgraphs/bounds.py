@@ -8,9 +8,12 @@ hypothesis fails instead of extrapolating.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterator
 
 from .core import MixedGraph
 
@@ -172,6 +175,21 @@ def degree_bounds(delta: int, p: int) -> DegreeBounds:
     return DegreeBounds(delta, p, lower, exact, upper)
 
 
+@contextmanager
+def _exact_digits() -> Iterator[None]:
+    """Lift the interpreter's cap on int-to-decimal conversion (4300 digits
+    by default, none before Python 3.10.7) inside the block and restore it
+    after, so parsing outside the block still refuses over-long tokens."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """One checked inequality with both sides kept as exact integers."""
@@ -199,12 +217,9 @@ def counting_inequality_check(graph: MixedGraph, k: int) -> BoundReport:
     p = graph.signature.p
     lhs = p ** (k * (k - 1) // 2) * k**graph.order
     rhs = p**graph.e_count
-    return BoundReport(
-        value=lhs,
-        compared=rhs,
-        satisfied=lhs >= rhs,
-        detail=(
+    with _exact_digits():
+        detail = (
             f"p^C(k,2) * k^order = {lhs} vs p^edges = {rhs} "
             f"for k={k}, p={p}, order={graph.order}, edges={graph.e_count}"
-        ),
-    )
+        )
+    return BoundReport(value=lhs, compared=rhs, satisfied=lhs >= rhs, detail=detail)

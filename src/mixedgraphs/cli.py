@@ -458,45 +458,47 @@ _BOUNDS = {
 def _cmd_bounds(args: argparse.Namespace, out: _Output) -> int:
     name = args.bound
     value = _BOUNDS[name][2](*args.params)
-    if name == "degree":
-        fields = {
-            "lower": value.lower,
-            "lower_exact": value.lower_exact,
-            "upper": value.upper,
-            "upper_applies": value.upper is not None,
-        }
-        text = (
-            f"lower {value.lower}"
-            + (" (exact power)" if value.lower_exact else " (ceiling)")
-            + (
-                f", upper {value.upper}"
-                if value.upper is not None
-                else ", upper needs maximum degree >= 5"
+    with bounds_mod._exact_digits():  # the values print in full
+        if name == "degree":
+            fields = {
+                "lower": value.lower,
+                "lower_exact": value.lower_exact,
+                "upper": value.upper,
+                "upper_applies": value.upper is not None,
+            }
+            text = (
+                f"lower {value.lower}"
+                + (" (exact power)" if value.lower_exact else " (ceiling)")
+                + (
+                    f", upper {value.upper}"
+                    if value.upper is not None
+                    else ", upper needs maximum degree >= 5"
+                )
             )
-        )
-    else:
-        fields, text = {"value": value}, f"{name} = {value}"
-    out.emit({"record": "bounds", "bound": name, **fields}, text)
+        else:
+            fields, text = {"value": value}, f"{name} = {value}"
+        out.emit({"record": "bounds", "bound": name, **fields}, text)
     return OK
 
 
 def _cmd_counting(args: argparse.Namespace, out: _Output) -> int:
     doc = _read_document(args.graph)
     report = bounds_mod.counting_inequality_check(doc.graph, args.k)
-    out.emit(
-        {
-            "record": "counting",
-            "satisfied": report.satisfied,
-            "value": str(report.value),
-            "compared": str(report.compared),
-        },
-        f"{report.detail}: "
-        + (
-            "holds"
-            if report.satisfied
-            else f"fails, so some coloring of the underlying graph has chi > {args.k}"
-        ),
-    )
+    with bounds_mod._exact_digits():
+        out.emit(
+            {
+                "record": "counting",
+                "satisfied": report.satisfied,
+                "value": str(report.value),
+                "compared": str(report.compared),
+            },
+            f"{report.detail}: "
+            + (
+                "holds"
+                if report.satisfied
+                else f"fails, so some coloring of the underlying graph has chi > {args.k}"
+            ),
+        )
     return OK
 
 

@@ -299,17 +299,6 @@ class MixedGraph:
     def underlying_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v, _ in self.relations()]
 
-    def without_pair(self, u: int, v: int) -> "MixedGraph":
-        """A copy with the relation on {u, v} removed."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        g = MixedGraph(self.signature, self.order)
-        drop = {u, v}
-        for a, b, rel in self.relations():
-            if {a, b} != drop:
-                g.add_relation(a, b, rel)
-        return g
-
     def validate(self) -> str | None:
         """Re-derive all structural invariants from storage.
 
@@ -408,6 +397,18 @@ def common_neighborhood(graph: MixedGraph, query: NeighborhoodQuery) -> set[int]
             return set()
     assert result is not None
     return result
+
+
+def _kind_masks(
+    row: Mapping[int, RelationKind], bits: Sequence[int]
+) -> dict[RelationKind, int]:
+    """Each kind in an adjacency row mapped to the mask of the neighbours
+    of that kind, where ``bits[w]`` is ``1 << w``."""
+    masks: dict[RelationKind, int] = {}
+    get = masks.get
+    for w, rel in row.items():
+        masks[rel] = get(rel, 0) | bits[w]
+    return masks
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import MixedGraph, RelationKind, _partner_sets, _require_same_signature
+from .core import (
+    MixedGraph, RelationKind, _kind_masks, _partner_sets, _require_same_signature
+)
 
 
 @dataclass(frozen=True)
@@ -84,24 +86,26 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
     matches.  Deterministic: smallest candidate set first, ties and
     values in index order.
 
-    Candidate sets are int bitmasks over the target's vertices.  An index
-    built once per call, ``rows[x][kind]`` with bit y set exactly when
-    ``target.relation_from(x, y)`` is ``kind``, for every kind the target
-    uses, turns each filter into one AND; a source kind the target does
-    not use refutes at once.  Only the unassigned vertices whose
-    candidate set has shrunk are scanned for the smallest, each keyed by
-    the int size * ns + v, so a node costs the degree of its vertex plus
-    that frontier rather than a pass over the whole source.
+    Candidate sets are int bitmasks over the target's vertices.  An
+    index built once per call, ``rows[x][kind]`` with bit y set exactly
+    when ``target.relation_from(x, y)`` is ``kind``, for every kind the
+    target uses (``core._kind_masks``, zero-filled), turns each filter
+    into one AND; a source kind the target does not use refutes at once.
+    Only the unassigned vertices whose candidate set has shrunk are
+    scanned for the smallest, each keyed by the int size * ns + v, so a
+    node costs the degree of its vertex plus that frontier rather than a
+    pass over the whole source.
 
     The search is one loop over per-depth lists of ints, allocated once:
-    the vertex of each depth, its untried values, the key it was picked
-    by (-1 when nothing was narrowed) and where its narrowings start on
-    the trail.  The trail is one flat list ``[w, old, w, old, ...]`` of
-    narrowed vertices and their previous candidate sets, cut back to a
-    depth's start on backtrack.  A node leaves no object alive for the
-    collector to traverse, and the depth is bounded by memory rather
-    than by the interpreter's recursion limit.  An empty source gets the
-    empty map; into an empty target, a source kind or an empty domain refutes.
+    the vertex of each depth, its untried values and where its
+    narrowings start on the trail.  An assigned vertex keeps its
+    candidate set, which gives back its key on backtrack.  The trail is
+    one flat list ``[w, old, w, old, ...]`` of narrowed vertices and
+    their previous candidate sets, cut back to a depth's start on
+    backtrack.  A node leaves no object alive for the collector to
+    traverse, and the depth is bounded by memory rather than by the
+    interpreter's recursion limit.  An empty source gets the empty map;
+    into an empty target, a source kind or an empty domain refutes.
     """
     _require_same_signature(source, target)
     ns, nt = source.order, target.order
@@ -109,12 +113,8 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
     # a mask per kind the target uses, whatever the signature's size
     target_rows = target.rows
     used = dict.fromkeys((rel for row in target_rows for rel in row.values()), 0)
-    rows = []
-    for row in target_rows:
-        masks = used.copy()
-        for y, rel in row.items():
-            masks[rel] |= 1 << y
-        rows.append(masks)
+    bits = [1 << y for y in range(nt)]
+    rows = [{**used, **_kind_masks(row, bits)} for row in target_rows]
     adj = source.rows
     if not used.keys() >= {rel for row in adj for rel in row.values()}:
         return None  # a source relation whose kind the target has nowhere
@@ -131,7 +131,6 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
     trail: list[int] = []
     vertex = [0] * ns
     untried = [0] * ns
-    held = [0] * ns  # the key the depth's vertex was picked by, -1 if none
     mark = [0] * ns  # the trail's length when the depth's vertex was picked
     first = [0] * (ns + 1)  # every vertex below first[d] stays assigned at depth d
 
@@ -143,15 +142,9 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
             del narrowed[u]
             first[depth + 1] = first[depth]
         else:
-            # With nothing narrowed, no unassigned vertex has an assigned
-            # neighbour (an image never allows itself), so the unassigned
-            # vertices form whole components that no earlier choice
-            # constrains: if this subtree fails, every other one fails too.
-            key = -1
             u = image.index(-1, first[depth])
             first[depth + 1] = u + 1
         vertex[depth] = u
-        held[depth] = key
         mark[depth] = len(trail)
         values = domains[u]
         while True:
@@ -177,10 +170,13 @@ def find_homomorphism(source: MixedGraph, target: MixedGraph) -> Homomorphism | 
                     break
             else:
                 image[u] = -1
-                key = held[depth]
-                if key < 0:
-                    return None  # a fresh component has no image
-                narrowed[u] = key
+                if domains[u] == full:
+                    # u was picked with nothing narrowed, so no unassigned
+                    # vertex had an assigned neighbour (an image never
+                    # allows itself): they form whole components that no
+                    # earlier choice constrains, so every other one fails too.
+                    return None
+                narrowed[u] = domains[u].bit_count() * ns + u
                 depth -= 1
                 u = vertex[depth]
                 values = untried[depth]
@@ -507,17 +503,16 @@ def chromatic_number(graph: MixedGraph, budget: int = 10_000_000) -> ChromaticRe
     ``exhausted`` set; the partition is at worst the singletons.
     """
     n = graph.order
-    if n == 0:
-        return ChromaticResult(0, 0, Partition(()), 0, False)
-    partners = _partner_sets(graph)
-    clique = _greedy_clique(partners)
-    lower = max(len(clique), 2 if graph.e_count > 0 else 1)
     rows = graph.rows
     adj = [[(w, rel, rel.dual()) for w, rel in row.items()] for row in rows]
     core = [v for v in range(n) if adj[v]]  # the vertices searched
     lone = [v for v in range(n) if not adj[v]]
-    if not core:
-        return ChromaticResult(1, 1, Partition((tuple(lone),)), 0, False)
+    if not core:  # no relations: one block of every vertex, none if n = 0
+        k = min(n, 1)
+        return ChromaticResult(k, k, Partition((tuple(lone),) * k), 0, False)
+    partners = _partner_sets(graph)
+    clique = _greedy_clique(partners)
+    lower = max(len(clique), 2)
     m = len(core)
     partners_only = [list(others.difference(row)) for others, row in zip(partners, rows)]
     order = sorted(core, key=lambda v: (-len(adj[v]), v))

@@ -10,7 +10,7 @@ the orders the closed-form parameters predict.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 from random import Random
 from typing import NamedTuple, Sequence
@@ -20,6 +20,7 @@ from .core import (
     MixedGraph,
     PropertySpec,
     RelationKind,
+    _kind_masks,
     _require_same_signature,
     degeneracy_ordering,
 )
@@ -28,49 +29,19 @@ from .solver import Homomorphism, check_homomorphism
 
 @dataclass(frozen=True)
 class CompleteMixedTarget:
-    """A complete colored mixed graph, with the seed that produced it.
-
-    The graph is indexed by relation kind, one vertex at a time:
-    ``kind_row(v)`` maps each kind to the mask with bit w set exactly
-    when ``graph.relation_from(v, w)`` is that kind; a kind with no such
-    w has no entry, so a row holds only kinds v uses.  A common
-    neighborhood is then an AND of rows.  A row is built on first use,
-    from one read of v's adjacency row and the bits 1 << w made once per
-    target, and kept in the instance, so a greedy embedding pays only for
-    the rows of the images it uses; ``check_property_q`` reads every row
-    through it.  The index lives here rather than on ``MixedGraph``
-    because a complete graph is never mutated once wrapped and its rows
-    take no more memory than its adjacency dicts; the graph must not
-    change after it is wrapped.
-    """
+    """A complete colored mixed graph, with the seed that produced it."""
 
     graph: MixedGraph
     seed: int | None = None
-    _rows: list[dict[RelationKind, int] | None] = field(
-        init=False, repr=False, compare=False
-    )
-    _bits: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.graph.order
         if self.graph.e_count != n * (n - 1) // 2:
             raise ValueError("target graph is not complete")
-        object.__setattr__(self, "_rows", [None] * n)
-        object.__setattr__(self, "_bits", [1 << w for w in range(n)])
 
     @property
     def order(self) -> int:
         return self.graph.order
-
-    def kind_row(self, v: int) -> dict[RelationKind, int]:
-        """Vertex v's ``{kind: mask}`` row, built on first use and kept."""
-        row = self._rows[v]
-        if row is None:
-            row = self._rows[v] = {}
-            get, bits = row.get, self._bits
-            for w, rel in self.graph.neighbors(v).items():
-                row[rel] = get(rel, 0) | bits[w]
-        return row
 
 
 _WORDS_PER_DRAW = 1 << 16
@@ -203,7 +174,8 @@ def check_property_q(target: CompleteMixedTarget, spec: PropertySpec) -> QViolat
     if n < spec.required(0):
         return QViolation((), (), n, spec.required(0))
     kinds = g.signature.kinds()
-    masks = [[row.get(kind, 0) for kind in kinds] for row in map(target.kind_row, range(n))]
+    bits = [1 << w for w in range(n)]
+    masks = [[row.get(kind, 0) for kind in kinds] for row in map(_kind_masks, g.rows, [bits] * n)]
     columns = list(zip(*masks))[:-1]
 
     def last_level_holds(mask: int, first: int, need: int) -> bool:
@@ -333,20 +305,23 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
     Each adjacency row of ``graph`` is fetched once, and each step walks
     the current vertex's sorted row once.  A placed neighbor w adds its
     image and the kind it needs, the dual of the row entry for w, and
-    ANDs the target's ``kind_row`` mask of that image into the
-    candidates until they reach 0, so the target builds rows only for
-    the images the pass uses.  An unplaced neighbor z has the images of
-    its placed neighbors listed once; their bits OR into the blocked
-    set, so a step costs O(deg^2) operations on target-order big ints.
-    The same lists, with the chosen image appended, re-audit the
-    invariant that the placed neighbors of every unplaced vertex hold
-    distinct images, for the only vertices whose placed neighborhoods
-    changed; the finished map is audited again by ``check_homomorphism``.
+    ANDs that image's mask of that kind (``core._kind_masks``) into the
+    candidates until they reach 0; an image's masks are built on its
+    first use, so the pass builds them only for the images it reads.  An
+    unplaced neighbor z has the images of its placed neighbors listed
+    once; their bits OR into the blocked set, so a step costs O(deg^2)
+    operations on target-order big ints.  The same lists, with the
+    chosen image appended, re-audit the invariant that the placed
+    neighbors of every unplaced vertex hold distinct images, for the
+    only vertices whose placed neighborhoods changed; the finished map
+    is audited again by ``check_homomorphism``.
     """
     tg = target.graph
     _require_same_signature(graph, tg)
     degeneracy, order = degeneracy_ordering(graph)
-    kind_row = target.kind_row
+    target_rows = tg.rows
+    bits = [1 << x for x in range(tg.order)]
+    kind_rows: list[dict[RelationKind, int] | None] = [None] * tg.order
     everything = (1 << tg.order) - 1
     rows = graph.rows
     image = [-1] * graph.order
@@ -366,7 +341,10 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
                 images.append(x)
                 needed.append(rel)
                 if candidates:
-                    candidates &= kind_row(x).get(rel, 0)
+                    masks = kind_rows[x]
+                    if masks is None:
+                        masks = kind_rows[x] = _kind_masks(target_rows[x], bits)
+                    candidates &= masks.get(rel, 0)
         blocked = 0
         seen: list[list[int]] = []
         for z in future:
@@ -443,8 +421,14 @@ def extend_regular(
     if not _is_connected(graph):
         raise ValueError("graph is not connected")
 
-    u, v = min(graph.underlying_edges())
-    rest = graph.without_pair(u, v)
+    # vertex 0 has a neighbour, the graph being regular with a relation
+    u, v = 0, min(graph.rows[0])
+    pairs = [(a, b) for a, row in enumerate(graph.rows) for b in row if a < b]
+    pairs.remove((u, v))
+    rest = MixedGraph(graph.signature, graph.order)
+    rest.add_relation_block(
+        [a for a, _ in pairs], [b for _, b in pairs], [graph.rows[a][b] for a, b in pairs]
+    )
     embedding = greedy_homomorphism(rest, target)
     f = embedding.homomorphism.mapping
 

@@ -27,7 +27,7 @@ from .bounds import (
     planar_upper,
 )
 from .constructions import build_hk, build_special_gadget, hk_acyclic_coloring
-from .core import ColorSignature, MixedGraph, RelationKind, is_special_2path
+from .core import ColorSignature, MixedGraph, RelationKind, is_special_2path, special_pairs
 from .decomposition import (
     acyclic_chromatic_number,
     acyclic_from_homomorphisms,
@@ -115,13 +115,14 @@ def criterion_1() -> tuple[bool, str]:
             g = MixedGraph(sig, 3)
             g.add_relation(1, 0, r1)
             g.add_relation(1, 2, r2)
-            verdict = is_special_2path(g, 0, 1, 2)
             oracle = not _oracle_endpoints_identifiable(sig, r1, r2)
-            if verdict != oracle:
-                return False, (
-                    f"disagreement at signature ({m},{n}), kinds {r1}/{r2}: "
-                    f"classifier {verdict}, oracle {oracle}"
-                )
+            # the rule as stated, and the pairs the searches read
+            for verdict in (is_special_2path(g, 0, 1, 2), (0, 2) in special_pairs(g)):
+                if verdict != oracle:
+                    return False, (
+                        f"disagreement at signature ({m},{n}), kinds {r1}/{r2}: "
+                        f"classifier {verdict}, oracle {oracle}"
+                    )
             checked += 1
     return True, f"{checked} labelings agree with the brute-force oracle"
 

@@ -30,3 +30,12 @@ def test_criterion_5_refuses_a_pipeline_whose_layer_ran_out(monkeypatch):
     passed, detail = verification.criterion_5()
     assert not passed
     assert "layer 0 search ran out of budget with bounds [" in detail
+
+
+def test_criterion_1_certifies_the_special_pairs_the_searches_read(monkeypatch):
+    # A pair rule that drifts from the stated classifier must fail the
+    # criterion, though is_special_2path still agrees with the oracle.
+    monkeypatch.setattr(verification, "special_pairs", lambda g: set())
+    passed, detail = verification.criterion_1()
+    assert not passed
+    assert detail.endswith("classifier False, oracle True")

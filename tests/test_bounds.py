@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -22,7 +23,8 @@ from mixedgraphs import (
     nr_upper,
     planar_upper,
 )
-from mixedgraphs.bounds import _ceil_log_search
+from mixedgraphs import fileio
+from mixedgraphs.bounds import _ceil_log_search, _exact_digits
 from mixedgraphs.cli import run
 from reference import power_search_ceil_log_log
 from strategies import directed_cycle
@@ -145,6 +147,39 @@ def test_acyclic_upper_from_chi_spot_values():
 def test_argument_guards(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def _digit_cap():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_bounds_print_values_past_the_digit_cap(capsys):
+    cap = _digit_cap()
+    assert run(["bounds", "nr-upper", "20000", "2"]) == 0
+    text = capsys.readouterr().out
+    assert run(["bounds", "nr-upper", "20000", "2", "--format", "records"]) == 0
+    record = capsys.readouterr().out
+    assert _digit_cap() == cap
+    value = 20000 * 2**19999
+    with _exact_digits():
+        assert text == f"nr-upper = {value}\n"
+        assert json.loads(record) == {"bound": "nr-upper", "record": "bounds", "value": value}
+
+
+def test_counting_spells_out_values_past_the_digit_cap(tmp_path, capsys):
+    cap = _digit_cap()
+    edgeless = MixedGraph(ColorSignature(1, 0), 7000)
+    report = counting_inequality_check(edgeless, 5)
+    assert _digit_cap() == cap
+    assert report.satisfied and report.value == 2**10 * 5**7000 and report.compared == 1
+    path = tmp_path / "edgeless.mg"
+    path.write_text(fileio.dumps(edgeless))
+    assert run(["bounds", "counting", str(path), "5", "--format", "records"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert _digit_cap() == cap
+    with _exact_digits():
+        assert f"= {report.value} vs p^edges = 1 " in report.detail
+        assert record["value"] == str(report.value) and record["compared"] == "1"
 
 
 def test_acyclic_upper_outer_log_variants():

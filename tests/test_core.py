@@ -168,16 +168,6 @@ def test_relation_from_rejects_loops():
         g.relation_from(1, 1)
 
 
-def test_without_pair_drops_exactly_one_pair():
-    g = MixedGraph(ColorSignature(1, 0), 3)
-    g.add_arc(0, 1, 1)
-    g.add_arc(1, 2, 1)
-    h = g.without_pair(0, 1)
-    assert h.relation_from(0, 1) is None
-    assert h.relation_from(1, 2) == arc_out(1)
-    assert g.relation_from(0, 1) == arc_out(1)
-
-
 @given(mixed_graphs())
 def test_generated_graphs_validate(g):
     assert g.validate() is None

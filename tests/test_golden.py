@@ -213,18 +213,23 @@ print(json.dumps(results))
 """
 
 
-def _python(version: tuple[str, str]) -> str | None:
-    """The interpreter ``python3.N`` on PATH for ``version`` ("3", "N"), if
-    it runs and is that version; a version manager's shim with no such
-    version selected fails the probe."""
+def _python(version: tuple[str, str]) -> tuple[str, dict[str, str]] | None:
+    """The interpreter ``python3.N`` on PATH for ``version`` ("3", "N") and
+    the environment it runs in, if it runs and is that version.  A pyenv
+    shim with no such version selected fails the plain probe, so the probe
+    is retried with ``PYENV_VERSION=3.N``, which selects it."""
     exe = shutil.which("python" + ".".join(version))
     if exe is None:
         return None
-    probe = subprocess.run(
-        [exe, "-c", "import sys; print(*sys.version_info[:2])"],
-        capture_output=True, text=True, timeout=60,
-    )
-    return exe if probe.stdout.split() == list(version) else None
+    for extra in ({}, {"PYENV_VERSION": ".".join(version)}):
+        env = {**os.environ, **extra}
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(*sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        if probe.stdout.split() == list(version):
+            return exe, env
+    return None
 
 
 # the oldest Python that pyproject.toml allows (3.10 for ">=3.10"), and the
@@ -242,14 +247,15 @@ _NEWEST = re.search(
     [pytest.param(_OLDEST, id="oldest"), pytest.param(_NEWEST, id="newest")],
 )
 def test_golden_output_under_the_supported_pythons(version):
-    exe = _python(version)
-    if exe is None:
+    found = _python(version)
+    if found is None:
         pytest.skip(f"no working python{'.'.join(version)} on PATH")
+    exe, env = found
     src = Path(mixedgraphs.__file__).resolve().parents[1]
     done = subprocess.run(
         [exe, "-c", _DRIVER],
         input=json.dumps({name: _argv(command) for name, command in COMMANDS.items()}),
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**env, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr
