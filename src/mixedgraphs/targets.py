@@ -307,14 +307,16 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
     image and the kind it needs, the dual of the row entry for w, and
     ANDs that image's mask of that kind (``core._kind_masks``) into the
     candidates until they reach 0; an image's masks are built on its
-    first use, so the pass builds them only for the images it reads.  An
-    unplaced neighbor z has the images of its placed neighbors listed
-    once; their bits OR into the blocked set, so a step costs O(deg^2)
-    operations on target-order big ints.  The same lists, with the
-    chosen image appended, re-audit the invariant that the placed
-    neighbors of every unplaced vertex hold distinct images, for the
-    only vertices whose placed neighborhoods changed; the finished map
-    is audited again by ``check_homomorphism``.
+    first use, so the pass builds them only for the images it reads.
+    Every source vertex z keeps an image mask, bit x set when a placed
+    neighbor of z has image x.  An unplaced neighbor ORs its mask into
+    the blocked set, and once the image is chosen its bit is tested and
+    set in each unplaced neighbor's mask, so a step costs O(deg)
+    operations on target-order big ints.  The test re-audits the
+    invariant that the placed neighbors of every unplaced vertex hold
+    distinct images, for the only vertices whose placed neighborhoods
+    changed; the finished map is audited again by
+    ``check_homomorphism``.
     """
     tg = target.graph
     _require_same_signature(graph, tg)
@@ -325,6 +327,7 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
     everything = (1 << tg.order) - 1
     rows = graph.rows
     image = [-1] * graph.order
+    held = [0] * graph.order
     steps: list[GreedyStep] = []
     for v in order:
         around = rows[v]
@@ -332,10 +335,12 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
         needed: list[RelationKind] = []
         future: list[int] = []
         candidates = everything
+        blocked = 0
         for w in sorted(around):
             x = image[w]
             if x < 0:
                 future.append(w)
+                blocked |= held[w]
             else:
                 rel = around[w].dual()
                 images.append(x)
@@ -345,13 +350,6 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
                     if masks is None:
                         masks = kind_rows[x] = _kind_masks(target_rows[x], bits)
                     candidates &= masks.get(rel, 0)
-        blocked = 0
-        seen: list[list[int]] = []
-        for z in future:
-            placed = [image[x] for x in rows[z] if image[x] >= 0]
-            for x in placed:
-                blocked |= 1 << x
-            seen.append(placed)
         admissible = candidates & ~blocked
         if not admissible:
             raise PropertyViolatedError(
@@ -365,13 +363,14 @@ def greedy_homomorphism(graph: MixedGraph, target: CompleteMixedTarget) -> Greed
                  blocked.bit_count(), choice)
             )
         )
-        for z, placed in zip(future, seen):
-            placed.append(choice)
-            if len(set(placed)) != len(placed):
+        bit = bits[choice]
+        for z in future:
+            if held[z] & bit:
                 raise AssertionError(
                     f"invariant broken after placing {v}: unplaced vertex {z} "
                     f"has placed neighbors sharing an image"
                 )
+            held[z] |= bit
     hom = Homomorphism(tuple(image))
     audit = check_homomorphism(graph, tg, hom.mapping)
     assert audit is None, f"greedy pass produced an invalid homomorphism: {audit}"

@@ -110,10 +110,14 @@ def mixed_graphs(draw, max_order: int = 7, signatures=SIGNATURES) -> MixedGraph:
 
 
 @st.composite
-def sparse_graphs(draw, max_order: int = 40, signatures=SIGNATURES) -> MixedGraph:
+def sparse_graphs(
+    draw, max_order: int = 40, signatures=SIGNATURES, max_degree: int = 5, back: int = 3
+) -> MixedGraph:
+    """``sparse_graph`` with a drawn order, maximum degree at most
+    ``max_degree`` and ``back`` at most ``back``."""
     sig = draw(st.sampled_from(signatures))
     order = draw(st.integers(1, max_order))
-    max_degree = draw(st.integers(1, 5))
-    back = draw(st.integers(1, 3))
+    max_degree = draw(st.integers(1, max_degree))
+    back = draw(st.integers(1, back))
     seed = draw(st.integers(0, 2**32 - 1))
     return sparse_graph(sig, order, Random(seed), max_degree, back)

@@ -1,3 +1,6 @@
+import json
+import re
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -400,3 +403,103 @@ def test_huge_signature_still_rejects_a_color_above_it():
         match=r"line 4: \+a1000000001 out of range for signature \(1000000000,0\)",
     ):
         loads(text)
+
+
+# --- the possessive bulk-block pattern ------------------------------------------
+
+_PLAIN = re.compile(fileio._PLAIN_BULK_BLOCK)
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_bulk_block_is_possessive_where_re_accepts_it():
+    try:
+        re.compile("a++")
+    except re.error:
+        assert fileio._BULK_BLOCK.pattern == fileio._PLAIN_BULK_BLOCK
+    else:
+        assert fileio._BULK_BLOCK.pattern.count("++") == 3
+        assert fileio._BULK_BLOCK.pattern.endswith(")*+")
+
+
+# Corruptions of one piece of a relation line, each a way it can leave
+# the bulk format: a word other than a or e, a vertex or color token with
+# leading zeros, non-ASCII digits, a sign or no digits, a gap of two
+# spaces, a tab or none, and a line end other than "\n".
+_CORRUPT_WORDS = ("c", "f", "x", "ae", "A", "\u00e4", "")
+_CORRUPT_TOKENS = ("007", "00", "\u0663", "\uff11", "\u00b2", "1\u0663", "", "-1", "+1")
+_CORRUPT_GAPS = ("  ", "\t", "", "\u00a0")
+_CORRUPT_ENDS = ("\r\n", "\r", "\u2028", "\x0c", " \n", "")
+
+
+def _corrupted_lines():
+    """Every line that differs from ``a 12 7 3`` in one piece, or by a
+    token dropped or added."""
+    pieces = ["a", " ", "12", " ", "7", " ", "3", "\n"]
+    options = {0: _CORRUPT_WORDS, 7: _CORRUPT_ENDS}
+    options.update({i: _CORRUPT_GAPS for i in (1, 3, 5)})
+    options.update({i: _CORRUPT_TOKENS for i in (2, 4, 6)})
+    lines = ["a 12 7\n", "a 12 7 3 1\n"]
+    for i, spare in options.items():
+        lines += ["".join(pieces[:i] + [piece] + pieces[i + 1:]) for piece in spare]
+    return lines
+
+
+_CORRUPTED = _corrupted_lines()
+_NO_POSSESSIVE = pytest.mark.skipif(
+    fileio._BULK_BLOCK.pattern == fileio._PLAIN_BULK_BLOCK,
+    reason="this Python's re has no possessive quantifiers",
+)
+
+
+@st.composite
+def relation_texts(draw):
+    """Relation lines in ``dumps``'s format, one in three replaced by a
+    corrupted line; the last line may lack its newline."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 2)):
+            word = draw(st.sampled_from("ae"))
+            numbers = " ".join(str(draw(st.integers(0, 999))) for _ in range(3))
+            lines.append(f"{word} {numbers}\n")
+        else:
+            lines.append(draw(st.sampled_from(_CORRUPTED)))
+    text = "".join(lines)
+    if text.endswith("\n") and draw(st.booleans()):
+        text = text[:-1]
+    return text
+
+
+@_NO_POSSESSIVE
+@settings(max_examples=300)
+@given(relation_texts(), st.integers(0, 5))
+def test_possessive_bulk_block_ends_where_the_plain_one_does(text, pos):
+    assert fileio._BULK_BLOCK.match(text, pos).end() == _PLAIN.match(text, pos).end()
+
+
+@_NO_POSSESSIVE
+def test_possessive_bulk_block_stops_at_every_corrupted_line():
+    for line in _CORRUPTED:
+        for text in ("e 1 2 3\n" + line + "a 4 5 6\n", line.rstrip("\n")):
+            assert fileio._BULK_BLOCK.match(text).end() == _PLAIN.match(text).end(), text
+
+
+def _golden_texts():
+    """Every graph or map file under tests/golden, and every golden
+    stdout that is a graph file."""
+    texts = {path.name: path.read_text() for path in _GOLDEN.glob("*.m*")}
+    expected = json.loads((_GOLDEN / "expected.json").read_text())
+    for name, entry in expected.items():
+        if entry["stdout"].startswith("mixedgraph"):
+            texts[name] = entry["stdout"]
+    return texts
+
+
+_GOLDEN_TEXTS = _golden_texts()
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_TEXTS))
+def test_plain_bulk_block_loads_the_golden_files_alike(name, monkeypatch):
+    text = _GOLDEN_TEXTS[name]
+    outcome = _outcome(loads, text)
+    monkeypatch.setattr(fileio, "_BULK_BLOCK", _PLAIN)
+    assert _outcome(loads, text) == outcome

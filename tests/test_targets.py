@@ -3,7 +3,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from mixedgraphs import (
     ColorSignature,
@@ -488,23 +488,34 @@ def _assert_greedy_matches_reference(source, target) -> str:
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_graphs(max_order=40), st.integers(6, 40), st.integers(0, 2**32 - 1))
+@given(
+    sparse_graphs(max_order=40, max_degree=8, back=5),
+    st.integers(6, 40),
+    st.integers(0, 2**32 - 1),
+)
 def test_greedy_matches_quadratic_reference(source, target_order, seed):
+    """Up to degree 8 and 5 back-links, a step often meets several
+    unplaced neighbors at once, whose image masks it ORs and updates."""
     target = sample_complete(source.signature, target_order, seed)
-    _assert_greedy_matches_reference(source, target)
+    event(_assert_greedy_matches_reference(source, target))
 
 
 def test_greedy_matches_reference_on_both_outcomes():
+    """60 trials at maximum degree up to 4 and 3 back-links, then 60 at
+    up to 8 and 5; each set must embed and violate at least 10 times."""
     rng = random.Random(1508)
     sigs = (SIG, ColorSignature(0, 2), ColorSignature(1, 1))
-    outcomes = []
-    for trial in range(60):
-        sig = sigs[trial % len(sigs)]
-        source = sparse_graph(sig, rng.randint(5, 40), rng, rng.randint(2, 4), rng.randint(1, 3))
-        target = sample_complete(sig, rng.randint(6, 40), rng.randrange(10**6))
-        outcomes.append(_assert_greedy_matches_reference(source, target))
-    assert outcomes.count("violated") >= 10
-    assert outcomes.count("embedded") >= 10
+    for max_degree, back in ((4, 3), (8, 5)):
+        outcomes = []
+        for trial in range(60):
+            sig = sigs[trial % len(sigs)]
+            source = sparse_graph(
+                sig, rng.randint(5, 40), rng, rng.randint(2, max_degree), rng.randint(1, back)
+            )
+            target = sample_complete(sig, rng.randint(6, 40), rng.randrange(10**6))
+            outcomes.append(_assert_greedy_matches_reference(source, target))
+        assert outcomes.count("violated") >= 10, (max_degree, back)
+        assert outcomes.count("embedded") >= 10, (max_degree, back)
 
 
 def test_greedy_embeds_a_large_sparse_source():
